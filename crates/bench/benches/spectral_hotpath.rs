@@ -1,20 +1,17 @@
 //! Criterion bench for the zero-realloc spectral hot path.
 //!
 //! Benches the per-user front-end (compress → recursive Fiedler cuts)
-//! in three configurations so a regression in any layer of the
+//! in two configurations so a regression in either layer of the
 //! optimisation shows up as its own curve:
 //!
-//! - `cold`: fresh buffers per call, cold Lanczos (pre-PR shape);
-//! - `scratch`: one [`CutScratch`] arena reused across calls,
-//!   warm-start off — isolates the allocation savings;
-//! - `scratch+warm`: arena plus warm-started Lanczos — the full hot
-//!   path, as wired by `experiments --bench-out BENCH_spectral.json`.
+//! - `cold`: a fresh arena per call;
+//! - `scratch`: one [`CutScratch`] arena reused across calls — the
+//!   hot path as wired by `experiments --bench-out BENCH_spectral.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mec_bench::runtime::runtime_graph;
 use mec_graph::Graph;
 use mec_labelprop::{CompressionConfig, Compressor};
-use mec_linalg::LanczosOptions;
 use mec_spectral::{CutScratch, RecursiveBisector};
 
 const DEPTH: usize = 3;
@@ -57,31 +54,6 @@ fn bench_spectral_hotpath(c: &mut Criterion) {
         &quotients,
         |b, qs| {
             let bisector = RecursiveBisector::new().max_depth(DEPTH);
-            let mut scratch = CutScratch::new();
-            b.iter(|| {
-                let mut parts = 0usize;
-                for q in qs {
-                    parts += bisector
-                        .partition_reusing(std::hint::black_box(q), &mut scratch)
-                        .unwrap()
-                        .parts;
-                }
-                std::hint::black_box(parts)
-            })
-        },
-    );
-
-    group.bench_with_input(
-        BenchmarkId::from_parameter("scratch+warm"),
-        &quotients,
-        |b, qs| {
-            let bisector =
-                RecursiveBisector::new()
-                    .max_depth(DEPTH)
-                    .lanczos_options(LanczosOptions {
-                        warm_start: true,
-                        ..LanczosOptions::default()
-                    });
             let mut scratch = CutScratch::new();
             b.iter(|| {
                 let mut parts = 0usize;

@@ -7,7 +7,9 @@
 //!
 //! - **delta**: the service as shipped — warm-started delta replans,
 //!   every event timed, p50/p99 over the whole run;
-//! - **full**: a mirror service pinned to [`ReplanMode::Full`], timed
+//! - **full**: a mirror service with a zero drift limit
+//!   ([`OffloadService::with_drift_limit`]`(0.0)`), so every replan
+//!   after churn rebuilds its shard from scratch, timed
 //!   on a sampled subset of the same event stream (each sample is
 //!   brought current untimed first, so the timed replan covers exactly
 //!   one event's worth of churn).
@@ -16,7 +18,7 @@
 //! holds ≥ 5×.
 
 use crate::workload::paper_graph;
-use copmecs_core::{OffloadService, ReplanMode};
+use copmecs_core::OffloadService;
 use mec_graph::Graph;
 use mec_model::SystemParams;
 use mec_obs::TraceSink;
@@ -39,7 +41,7 @@ pub struct ChurnSpec {
     pub graph_pool: usize,
     /// Timed churn events (each followed by one service replan).
     pub events: usize,
-    /// Events additionally timed under a full-mode mirror service for
+    /// Events additionally timed under a from-scratch mirror service for
     /// the speedup denominator.
     pub full_samples: usize,
     /// RNG seed for the event stream and the graph pool.
@@ -93,9 +95,9 @@ pub struct ChurnReport {
     pub replan_p99_nanos: u64,
     /// Mean per-event delta replan latency.
     pub replan_mean_nanos: u64,
-    /// Mean sampled full-mode replan latency.
+    /// Mean sampled from-scratch replan latency.
     pub full_mean_nanos: u64,
-    /// Full-mode samples actually taken.
+    /// From-scratch samples actually taken.
     pub full_samples: usize,
     /// `full_mean_nanos / replan_mean_nanos` — the gated headline.
     pub speedup: f64,
@@ -170,8 +172,7 @@ pub fn run(spec: &ChurnSpec, sink: Option<Arc<dyn TraceSink>>) -> ChurnReport {
     if let Some(sink) = sink {
         delta = delta.with_trace_sink(sink);
     }
-    let mut full = OffloadService::new(SystemParams::default(), spec.shards)
-        .with_replan_mode(ReplanMode::Full);
+    let mut full = OffloadService::new(SystemParams::default(), spec.shards).with_drift_limit(0.0);
 
     // bulk load (untimed): the steady-state crowd both services track
     let mut present: Vec<String> = (0..spec.users).map(|u| format!("u{u}")).collect();

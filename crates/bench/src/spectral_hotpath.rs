@@ -9,12 +9,15 @@
 //!   recursion level materialises an owned sub-graph
 //!   ([`Subgraph::induced`]), every cut builds a fresh CSR snapshot and
 //!   lets Lanczos allocate a new Krylov basis, and every solve starts
-//!   cold.
+//!   from the random vector instead of a parent seed.
 //! - **optimized**: the current hot path. One [`CutScratch`] arena for
 //!   the whole run, index-space [`mec_graph::CsrView`] restriction
-//!   instead of owned sub-graphs, and warm-started Lanczos
-//!   ([`mec_linalg::LanczosOptions::warm_start`]) seeding each child cut
-//!   with the restriction of its parent's Fiedler vector.
+//!   instead of owned sub-graphs, and each child cut's Lanczos
+//!   recurrence seeded with the restriction of its parent's Fiedler
+//!   vector.
+//!
+//! Both sides run the same eigensolver; the baseline differs only in
+//! the code shape around it.
 //!
 //! Both sides are recorded in the same [`HotpathReport`] (written as
 //! `BENCH_spectral.json` by `experiments --bench-out`), so every PR
@@ -24,7 +27,6 @@ use crate::runtime::runtime_graph;
 use copmecs_core::{CutStrategy, PipelineError, StrategyKind};
 use mec_graph::{Graph, NodeId, Side, Subgraph};
 use mec_labelprop::{CompressionConfig, Compressor};
-use mec_linalg::LanczosOptions;
 use mec_obs::{span, NullSink, ShardedRecorder, TraceSink};
 use mec_spectral::{CutScratch, RecursiveBisector, RecursivePartition, SpectralBisector};
 use serde::Serialize;
@@ -141,9 +143,10 @@ pub struct ObsOverhead {
 pub struct HotpathReport {
     /// The workload both sides ran.
     pub spec: HotpathSpec,
-    /// Pre-PR shape: owned sub-graphs, cold Lanczos, fresh buffers.
+    /// Pre-arena shape: owned sub-graphs, unseeded Lanczos, fresh
+    /// buffers.
     pub baseline: HotpathMeasurement,
-    /// Current shape: CsrView + CutScratch + warm-started Lanczos,
+    /// Current shape: CsrView + CutScratch + parent-seeded Lanczos,
     /// scalar kernels.
     pub optimized: HotpathMeasurement,
     /// The optimized shape under the unrolled 4-lane kernels; `None`
@@ -160,8 +163,8 @@ pub struct HotpathReport {
     pub obs_overhead: Option<ObsOverhead>,
 }
 
-/// Pre-PR-style recursive bisection: owned [`Subgraph::induced`] per
-/// level, a cold [`SpectralBisector::bisect`] per cut (fresh CSR
+/// Pre-arena recursive bisection: owned [`Subgraph::induced`] per
+/// level, an unseeded [`SpectralBisector::bisect`] per cut (fresh CSR
 /// snapshot, fresh Krylov basis). Faithful to the code shape before the
 /// scratch arena landed — this is the measured baseline, not a straw
 /// man: the split rule, depth, and leaf policy match the optimized
@@ -448,7 +451,7 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
     mec_linalg::kernels::set_simd_enabled(false);
 
     let baseline = measure(
-        "owned-subgraph cold-start (pre-PR shape)",
+        "owned-subgraph unseeded (pre-arena shape)",
         spec,
         probe,
         |quotients| {
@@ -462,13 +465,7 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
         &quotients,
     )?;
 
-    let optimized_bisector =
-        RecursiveBisector::new()
-            .max_depth(depth)
-            .lanczos_options(LanczosOptions {
-                warm_start: true,
-                ..LanczosOptions::default()
-            });
+    let optimized_bisector = RecursiveBisector::new().max_depth(depth);
     let mut scratch = CutScratch::new();
     let mut optimized_run = |label: &str| {
         measure(
@@ -488,13 +485,13 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
             &quotients,
         )
     };
-    let optimized = optimized_run("csr-view scratch-arena warm-start")?;
+    let optimized = optimized_run("csr-view scratch-arena parent-seeded")?;
 
     // the same hot path again under the unrolled kernels, when the
     // binary carries them — one process measures both variants so the
     // report's scalar/simd rows share every other condition
     let optimized_simd = if mec_linalg::kernels::set_simd_enabled(true) {
-        Some(optimized_run("csr-view scratch-arena warm-start")?)
+        Some(optimized_run("csr-view scratch-arena parent-seeded")?)
     } else {
         None
     };

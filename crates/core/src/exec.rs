@@ -1,7 +1,7 @@
 //! The unified execution context.
 //!
 //! Before `ExecCtx` existed the pipeline's front door was forked per
-//! capability: `solve` vs `solve_on`, `join` vs `join_many`, a scratch
+//! capability: a serial and a cluster solve, `join` vs `join_many`, a scratch
 //! arena threaded by hand in some paths and re-allocated in others, and
 //! telemetry epilogues (finish the span, record the `*_nanos`
 //! histogram, flush the sink) copy-pasted at every exit — which meant

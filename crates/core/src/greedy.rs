@@ -963,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_converged_state_is_a_no_op() {
+    fn warm_greedy_from_converged_state_is_a_no_op() {
         let graphs: Vec<_> = (0..6)
             .map(|i| NetgenSpec::new(50, 140).seed(40 + i).generate().unwrap())
             .collect();
@@ -977,7 +977,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_after_churn_matches_full_quality() {
+    fn warm_greedy_after_churn_matches_full_quality() {
         // converge on 5 users, remove one and add another, then warm
         // replan; the objective must be no worse than a from-scratch
         // greedy over the same crowd.

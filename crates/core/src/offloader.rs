@@ -7,9 +7,9 @@ use crate::parts::PartSystem;
 use crate::strategy::{CutStrategy, StrategyKind};
 use crate::PipelineError;
 use mec_engine::Cluster;
-use mec_graph::Bipartition;
+use mec_graph::{Bipartition, Graph};
 use mec_labelprop::{CompressionConfig, CompressionStats, Compressor};
-use mec_model::{Evaluation, Scenario};
+use mec_model::{Evaluation, Scenario, SystemParams};
 use mec_obs::{span, TraceSink};
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,6 +114,57 @@ impl OffloadReport {
         );
         out
     }
+
+    /// The one report assembly every solve and replan path shares:
+    /// sums the crowd's cached front-end timings (in user order) next
+    /// to the greedy stage's, collects the per-user compression
+    /// statistics, and prices the converged placement against the
+    /// users' graphs.
+    pub(crate) fn assemble<'a, I>(
+        params: &SystemParams,
+        users: I,
+        parts: &PartSystem,
+        (greedy, greedy_time): (GreedyOutcome, Duration),
+        strategy: &'static str,
+    ) -> Result<OffloadReport, PipelineError>
+    where
+        I: ExactSizeIterator<Item = (&'a Graph, &'a FrontEnd)> + Clone,
+    {
+        let mut timings = StageTimings {
+            greedy: greedy_time,
+            ..StageTimings::default()
+        };
+        let mut compression = Vec::with_capacity(users.len());
+        for (_, fe) in users.clone() {
+            timings.compression += fe.compression;
+            timings.cutting += fe.cutting;
+            compression.push(fe.outcome.stats);
+        }
+        let plan = parts.plan();
+        let evaluation = mec_model::evaluate_plan_for(params, users.map(|(g, _)| g), &plan)?;
+        Ok(OffloadReport {
+            plan,
+            evaluation,
+            compression,
+            greedy,
+            timings,
+            strategy,
+        })
+    }
+}
+
+/// Runs one greedy stage under a `stage.greedy` span, records its
+/// `stage.greedy_nanos` sample, and returns the outcome with its wall
+/// time.
+pub(crate) fn timed_greedy(
+    sink: &dyn TraceSink,
+    greedy: impl FnOnce() -> GreedyOutcome,
+) -> (GreedyOutcome, Duration) {
+    let s = span(sink, "stage.greedy");
+    let outcome = greedy();
+    let elapsed = s.finish();
+    sink.histogram_record("stage.greedy_nanos", duration_sample(elapsed));
+    (outcome, elapsed)
 }
 
 /// Configures and builds an [`Offloader`].
@@ -318,25 +369,6 @@ impl Offloader {
         report
     }
 
-    /// [`solve_with`](Self::solve_with) on a one-off cluster context.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve`](Self::solve).
-    #[deprecated(
-        since = "0.9.0",
-        note = "use solve_with(&mut ExecCtx::cluster(...), scenario) — or configure the \
-                cluster once via OffloaderBuilder::cluster and call solve"
-    )]
-    pub fn solve_on(
-        &self,
-        cluster: &Arc<Cluster>,
-        scenario: &Scenario,
-    ) -> Result<OffloadReport, PipelineError> {
-        let mut ctx = self.exec_ctx().into_cluster(Arc::clone(cluster));
-        self.solve_with(&mut ctx, scenario)
-    }
-
     /// The joint back half of the pipeline: registers every prepared
     /// front-end in user order and runs the greedy stage over the
     /// shared server. Telemetry goes to the execution context's sink.
@@ -346,32 +378,21 @@ impl Offloader {
         prepared: Vec<FrontEnd>,
         sink: &dyn TraceSink,
     ) -> Result<OffloadReport, PipelineError> {
-        let mut timings = StageTimings::default();
+        let users = scenario.users().iter().map(|u| u.graph()).zip(&prepared);
         let mut parts = PartSystem::new();
-        let mut compression_stats = Vec::with_capacity(scenario.user_count());
-        for (user, fe) in scenario.users().iter().zip(&prepared) {
-            timings.compression += fe.compression;
-            timings.cutting += fe.cutting;
-            compression_stats.push(fe.outcome.stats);
-            parts.add_user(user.graph(), &fe.outcome, &fe.cuts);
+        for (graph, fe) in users.clone() {
+            parts.add_user(graph, &fe.outcome, &fe.cuts);
         }
-
-        let s = span(sink, "stage.greedy");
-        let greedy = run_greedy_traced(&mut parts, scenario.params(), self.greedy_mode, sink);
-        let greedy_elapsed = s.finish();
-        sink.histogram_record("stage.greedy_nanos", duration_sample(greedy_elapsed));
-        timings.greedy += greedy_elapsed;
-
-        let plan = parts.plan();
-        let evaluation = scenario.evaluate(&plan)?;
-        Ok(OffloadReport {
-            plan,
-            evaluation,
-            compression: compression_stats,
+        let greedy = timed_greedy(sink, || {
+            run_greedy_traced(&mut parts, scenario.params(), self.greedy_mode, sink)
+        });
+        OffloadReport::assemble(
+            scenario.params(),
+            users,
+            &parts,
             greedy,
-            timings,
-            strategy: self.strategy.name(),
-        })
+            self.strategy.name(),
+        )
     }
 }
 

@@ -20,7 +20,7 @@
 
 use crate::exec::duration_sample;
 use crate::greedy::GreedyMode;
-use crate::session::{OffloadSession, ReplanMode};
+use crate::session::OffloadSession;
 use crate::strategy::StrategyKind;
 use crate::{OffloadReport, PipelineError};
 use mec_engine::Cluster;
@@ -154,19 +154,6 @@ impl OffloadService {
             shard.session = session.with_trace_sink(Arc::clone(&sink));
         }
         self.sink = sink;
-        self
-    }
-
-    /// Sets every shard session's [`ReplanMode`].
-    pub fn with_replan_mode(mut self, mode: ReplanMode) -> Self {
-        for shard in &mut self.shards {
-            let session = std::mem::replace(
-                &mut shard.session,
-                OffloadSession::new(SystemParams::default()),
-            );
-            shard.session = session.with_replan_mode(mode);
-            shard.cached = None;
-        }
         self
     }
 

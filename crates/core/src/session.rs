@@ -4,46 +4,30 @@
 //! in and out of the cell. The per-user work — compression and
 //! minimum cuts — does not depend on who else is present, only the
 //! greedy placement does. [`OffloadSession`] exploits that twice: each
-//! user's graph is compressed and cut **once** at join time, and under
-//! the default [`ReplanMode::Delta`] the converged part placement
-//! itself persists across replans — a churn event re-seats only the
-//! affected user's parts, and the next
+//! user's graph is compressed and cut **once** at join time, and the
+//! converged part placement itself persists across replans — a churn
+//! event re-seats only the affected user's parts, and the next
 //! [`replan`](OffloadSession::replan) warm-starts the greedy search
 //! from the previous equilibrium instead of rebuilding the whole part
 //! system and searching from the initial split. When accumulated churn
-//! exceeds a configurable drift bound (or with [`ReplanMode::Full`]),
-//! the session falls back to the from-scratch path, which is
-//! bit-identical to the pre-delta behaviour.
+//! exceeds a configurable drift bound, the session rebuilds from
+//! scratch; with [`with_drift_limit(0.0)`](OffloadSession::with_drift_limit)
+//! every replan after churn does, and its plan is bit-identical to
+//! [`Offloader::solve`](crate::Offloader::solve) on the same crowd.
 
-use crate::exec::{duration_sample, ExecCtx};
+use crate::exec::ExecCtx;
 use crate::frontend::{prepare_users, FrontEnd};
 use crate::greedy::{run_greedy_traced, run_greedy_warm, GreedyMode};
+use crate::offloader::timed_greedy;
 use crate::parts::PartSystem;
 use crate::strategy::{CutStrategy, StrategyKind};
-use crate::{OffloadReport, PipelineError, StageTimings};
+use crate::{OffloadReport, PipelineError};
 use mec_engine::Cluster;
 use mec_graph::Graph;
 use mec_labelprop::{CompressionConfig, Compressor};
 use mec_model::SystemParams;
-use mec_obs::{span, FieldValue, TraceSink};
+use mec_obs::{FieldValue, TraceSink};
 use std::sync::Arc;
-
-/// How [`OffloadSession::replan`] treats the previous placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ReplanMode {
-    /// Warm-start from the previously converged placement: only the
-    /// churned users' candidates are re-settled before a single rescan
-    /// confirms (or restores) equilibrium — `O(churn)` applied moves
-    /// in the steady state. Falls back to [`Full`](Self::Full)
-    /// behaviour when churn since the last replan exceeds the
-    /// session's drift limit (default).
-    #[default]
-    Delta,
-    /// Rebuild the part system and run the greedy search from the
-    /// initial split on every call — bit-identical to sessions before
-    /// delta replanning existed.
-    Full,
-}
 
 /// One user's cached pipeline front-end: the compression outcome,
 /// per-component cuts, and the wall-clock both took, computed at join
@@ -55,7 +39,7 @@ struct PreparedUser {
     frontend: FrontEnd,
 }
 
-/// The placement carried across replans in [`ReplanMode::Delta`].
+/// The placement carried across replans.
 ///
 /// Invariant: part-system user slot `i` is `OffloadSession::users[i]`
 /// at all times — joins append or replace in place, leaves remove
@@ -98,7 +82,6 @@ pub struct OffloadSession {
     /// The session-owned execution context: backend, sink, and (on the
     /// serial backend) the cut arena recycled across every admission.
     ctx: ExecCtx,
-    replan_mode: ReplanMode,
     /// Fraction of the crowd allowed to churn between replans before a
     /// delta replan discards the warm start and rebuilds from scratch.
     drift_limit: f64,
@@ -134,28 +117,19 @@ impl OffloadSession {
             greedy_mode,
             users: Vec::new(),
             ctx: ExecCtx::serial(),
-            replan_mode: ReplanMode::default(),
             drift_limit: 0.25,
             churned: 0,
             delta: None,
         }
     }
 
-    /// Chooses how [`replan`](Self::replan) treats the previous
-    /// placement (default: [`ReplanMode::Delta`]). Switching modes
-    /// drops any persisted placement, so the next replan starts from
-    /// scratch either way.
-    pub fn with_replan_mode(mut self, mode: ReplanMode) -> Self {
-        self.replan_mode = mode;
-        self.delta = None;
-        self
-    }
-
     /// Sets the delta-replan drift bound: once more than
     /// `limit × crowd` churn events accumulate between replans, the
     /// warm start is discarded and the placement is rebuilt from
-    /// scratch. `0.0` forces a full rebuild after *any* churn (the
-    /// exact-parity configuration); the default is `0.25`.
+    /// scratch. `0.0` forces a full rebuild after *any* churn — the
+    /// from-scratch configuration, whose plans are bit-identical to
+    /// [`Offloader::solve`](crate::Offloader::solve) on the same crowd
+    /// in session order; the default is `0.25`.
     pub fn with_drift_limit(mut self, limit: f64) -> Self {
         self.drift_limit = limit.max(0.0);
         self
@@ -448,6 +422,15 @@ impl OffloadSession {
     /// Re-runs the placement for the current crowd using the cached
     /// per-user compression and cuts, and prices the result.
     ///
+    /// The converged placement persists across calls and only the
+    /// churned slots are re-settled; the first call, and any call after
+    /// more than `drift_limit × crowd` churn events, rebuilds the part
+    /// system and runs the greedy search from the initial split. Only
+    /// the *placement* persists: the greedy objective bookkeeping is
+    /// re-derived from it in `O(crowd)` at warm entry, so repeated warm
+    /// replans cannot accumulate floating-point drift relative to a
+    /// rebuild.
+    ///
     /// The report's `timings.compression` / `timings.cutting` are the
     /// *cached* per-user front-end times recorded at join time (summed
     /// over the current crowd), so a session report accounts for the
@@ -465,119 +448,46 @@ impl OffloadSession {
         // service would alert on — the scope records it (and flushes)
         // on every exit, error returns included
         let scope = self.ctx.scope("session.replan", "session.replan_nanos");
-        let report = match self.replan_mode {
-            ReplanMode::Full => self.replan_full()?,
-            ReplanMode::Delta => self.replan_delta()?,
+        let drift_cap = (self.drift_limit * self.users.len().max(1) as f64).floor() as usize;
+        let sink = self.ctx.sink().as_ref();
+        let greedy = match self.delta.as_mut() {
+            Some(delta) if self.churned <= drift_cap => {
+                sink.counter_add("session.replans_delta", 1);
+                let mut dirty = std::mem::take(&mut delta.dirty);
+                dirty.sort_unstable();
+                dirty.dedup();
+                timed_greedy(sink, || {
+                    run_greedy_warm(&mut delta.ps, &self.params, self.greedy_mode, sink, &dirty)
+                })
+            }
+            _ => {
+                sink.counter_add("session.replans_full", 1);
+                let mut ps = PartSystem::new();
+                for u in &self.users {
+                    ps.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
+                }
+                let greedy = timed_greedy(sink, || {
+                    run_greedy_traced(&mut ps, &self.params, self.greedy_mode, sink)
+                });
+                self.delta = Some(DeltaState {
+                    ps,
+                    dirty: Vec::new(),
+                });
+                greedy
+            }
         };
-        let sink = self.ctx.sink();
+        self.churned = 0;
+        let delta = self.delta.as_ref().expect("placement set above");
+        let report = OffloadReport::assemble(
+            &self.params,
+            self.users.iter().map(|u| (u.graph.as_ref(), &u.frontend)),
+            &delta.ps,
+            greedy,
+            self.strategy.name(),
+        )?;
         sink.counter_add("session.replans", 1);
         scope.finish();
         Ok(report)
-    }
-
-    /// The from-scratch path: rebuild the part system for the whole
-    /// crowd and run the greedy search from the initial split. This is
-    /// exactly the pre-delta replan body, and the delta path's drift
-    /// fallback must stay bit-identical to it.
-    fn replan_full(&self) -> Result<OffloadReport, PipelineError> {
-        let sink = self.ctx.sink().as_ref();
-        let mut timings = StageTimings::default();
-        let mut parts = PartSystem::new();
-        let mut compression_stats = Vec::with_capacity(self.users.len());
-        for u in &self.users {
-            timings.compression += u.frontend.compression;
-            timings.cutting += u.frontend.cutting;
-            compression_stats.push(u.frontend.outcome.stats);
-            parts.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
-        }
-        let s = span(sink, "stage.greedy");
-        let greedy = run_greedy_traced(&mut parts, &self.params, self.greedy_mode, sink);
-        timings.greedy = s.finish();
-        sink.histogram_record("stage.greedy_nanos", duration_sample(timings.greedy));
-
-        let plan = parts.plan();
-        // price the plan against the live crowd directly — no Scenario
-        // rebuild (cloned names, Arc bumps) in the steady-state path
-        let evaluation = mec_model::evaluate_plan_for(
-            &self.params,
-            self.users.iter().map(|u| u.graph.as_ref()),
-            &plan,
-        )?;
-        Ok(OffloadReport {
-            plan,
-            evaluation,
-            compression: compression_stats,
-            greedy,
-            timings,
-            strategy: self.strategy.name(),
-        })
-    }
-
-    /// The warm-started path: persist the converged placement across
-    /// calls and re-settle only the churned slots, falling back to a
-    /// from-scratch rebuild on the first call and whenever accumulated
-    /// churn exceeds `drift_limit × crowd`.
-    ///
-    /// Only the *placement* persists; the greedy objective bookkeeping
-    /// is re-derived from it in `O(crowd)` at warm entry, so repeated
-    /// delta replans cannot accumulate floating-point drift relative
-    /// to the from-scratch path.
-    fn replan_delta(&mut self) -> Result<OffloadReport, PipelineError> {
-        let crowd = self.users.len();
-        let drift_cap = (self.drift_limit * crowd.max(1) as f64).floor() as usize;
-        let stale = self.delta.is_none() || self.churned > drift_cap;
-
-        let sink = self.ctx.sink().as_ref();
-        let mut timings = StageTimings::default();
-        let mut compression_stats = Vec::with_capacity(crowd);
-        for u in &self.users {
-            timings.compression += u.frontend.compression;
-            timings.cutting += u.frontend.cutting;
-            compression_stats.push(u.frontend.outcome.stats);
-        }
-
-        let greedy;
-        if stale {
-            sink.counter_add("session.replans_full", 1);
-            let mut parts = PartSystem::new();
-            for u in &self.users {
-                parts.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
-            }
-            let s = span(sink, "stage.greedy");
-            greedy = run_greedy_traced(&mut parts, &self.params, self.greedy_mode, sink);
-            timings.greedy = s.finish();
-            self.delta = Some(DeltaState {
-                ps: parts,
-                dirty: Vec::new(),
-            });
-        } else {
-            sink.counter_add("session.replans_delta", 1);
-            let delta = self.delta.as_mut().expect("delta checked above");
-            let mut dirty = std::mem::take(&mut delta.dirty);
-            dirty.sort_unstable();
-            dirty.dedup();
-            let s = span(sink, "stage.greedy");
-            greedy = run_greedy_warm(&mut delta.ps, &self.params, self.greedy_mode, sink, &dirty);
-            timings.greedy = s.finish();
-        }
-        self.churned = 0;
-        sink.histogram_record("stage.greedy_nanos", duration_sample(timings.greedy));
-
-        let delta = self.delta.as_ref().expect("delta set above");
-        let plan = delta.ps.plan();
-        let evaluation = mec_model::evaluate_plan_for(
-            &self.params,
-            self.users.iter().map(|u| u.graph.as_ref()),
-            &plan,
-        )?;
-        Ok(OffloadReport {
-            plan,
-            evaluation,
-            compression: compression_stats,
-            greedy,
-            timings,
-            strategy: self.strategy.name(),
-        })
     }
 }
 
@@ -754,32 +664,41 @@ mod tests {
     }
 
     #[test]
-    fn full_mode_is_identical_to_delta_results() {
+    fn zero_drift_limit_replans_match_the_one_shot_solver() {
         let mut delta = OffloadSession::new(SystemParams::default());
-        let mut full =
-            OffloadSession::new(SystemParams::default()).with_replan_mode(ReplanMode::Full);
-        for i in 0..6u64 {
-            delta.join(format!("u{i}"), graph(40 + i)).unwrap();
-            full.join(format!("u{i}"), graph(40 + i)).unwrap();
-        }
-        // first delta replan has no warm state: bit-identical to full
-        let d = delta.replan().unwrap();
-        let f = full.replan().unwrap();
-        assert_eq!(d.plan, f.plan);
-        assert_eq!(
-            d.evaluation.totals.objective(),
-            f.evaluation.totals.objective()
-        );
-        // a zero drift limit forces the from-scratch fallback after any
-        // churn, so the delta session keeps exact parity with full mode
         let mut strict = OffloadSession::new(SystemParams::default()).with_drift_limit(0.0);
         for i in 0..6u64 {
+            delta.join(format!("u{i}"), graph(40 + i)).unwrap();
             strict.join(format!("u{i}"), graph(40 + i)).unwrap();
         }
-        strict.replan().unwrap();
+        let one_shot = |users: &[u64]| {
+            let scenario = users
+                .iter()
+                .fold(Scenario::new(SystemParams::default()), |s, &i| {
+                    s.with_user(UserWorkload::new(format!("u{i}"), graph(40 + i)))
+                });
+            Offloader::new().solve(&scenario).unwrap()
+        };
+        // the first replan has no placement to warm-start from: both
+        // sessions rebuild, bit-identical to the one-shot solver
+        let reference = one_shot(&[0, 1, 2, 3, 4, 5]);
+        for report in [delta.replan().unwrap(), strict.replan().unwrap()] {
+            assert_eq!(report.plan, reference.plan);
+            assert_eq!(
+                report.evaluation.totals.objective().to_bits(),
+                reference.evaluation.totals.objective().to_bits()
+            );
+        }
+        // a zero drift limit rebuilds after any churn, so it keeps
+        // exact parity with the one-shot solver
         strict.leave("u2");
-        full.leave("u2");
-        assert_eq!(strict.replan().unwrap().plan, full.replan().unwrap().plan);
+        let after = strict.replan().unwrap();
+        let reference = one_shot(&[0, 1, 3, 4, 5]);
+        assert_eq!(after.plan, reference.plan);
+        assert_eq!(
+            after.evaluation.totals.objective().to_bits(),
+            reference.evaluation.totals.objective().to_bits()
+        );
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl SymOp for ParallelCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mec_linalg::{smallest_eigenpairs, ConjugateGradient, LanczosOptions};
+    use mec_linalg::{smallest_eigenpairs, LanczosOptions};
 
     fn cluster() -> Arc<Cluster> {
         Arc::new(Cluster::new(3).unwrap())
@@ -159,14 +159,25 @@ mod tests {
     }
 
     #[test]
-    fn cg_runs_on_the_parallel_backend() {
+    fn parallel_eigenpairs_are_eigenpairs_of_the_serial_matrix() {
+        // the solver only ever sees the sharded operator; its pairs
+        // must satisfy the serial matrix to solver precision
         let m = spd_matrix(30);
         let par = ParallelCsr::new(cluster(), &m, 4).unwrap();
-        let b: Vec<f64> = (0..30).map(|i| (i as f64).cos()).collect();
-        let serial = ConjugateGradient::new().solve(&m, &b).unwrap();
-        let parallel = ConjugateGradient::new().solve(&par, &b).unwrap();
-        for (a, c) in serial.solution.iter().zip(&parallel.solution) {
-            assert!((a - c).abs() < 1e-8);
+        let opts = LanczosOptions {
+            dense_cutoff: 0,
+            ..LanczosOptions::default()
+        };
+        for pair in smallest_eigenpairs(&par, 2, &opts).unwrap() {
+            let mut y = vec![0.0; 30];
+            m.apply(&pair.vector, &mut y);
+            let residual = y
+                .iter()
+                .zip(&pair.vector)
+                .map(|(a, v)| (a - pair.value * v).powi(2))
+                .sum::<f64>()
+                .sqrt();
+            assert!(residual < 1e-8, "residual {residual}");
         }
     }
 

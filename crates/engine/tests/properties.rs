@@ -1,34 +1,76 @@
 //! Property tests: every parallel engine result must equal its serial
-//! equivalent, for arbitrary data, partitionings and worker counts.
+//! equivalent, for arbitrary data, partitionings and worker counts, and
+//! the Lanczos eigensolver must agree with the dense reference on both
+//! operator backends.
 
-use mec_engine::{Cluster, Dataset, ParallelCsr, ParallelLaplacian};
-use mec_linalg::{CsrMatrix, SymOp};
+use mec_engine::{Cluster, ParallelCsr, ParallelLaplacian};
+use mec_linalg::{
+    householder_eigen, smallest_eigenpairs, CsrMatrix, DenseMatrix, LanczosOptions, SymOp,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// splitmix64: deterministic pseudo-random draws without a rand
+/// dependency.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A connected weighted graph on `n` nodes: a ring plus `n / 2`
+/// pseudo-random chords, weights in `[0.5, 4]`.
+fn connected_edges(n: usize, mut seed: u64) -> Vec<(usize, usize, f64)> {
+    let weight = |s: &mut u64| 0.5 + (splitmix(s) % 8) as f64 / 2.0;
+    let mut edges: Vec<(usize, usize, f64)> = (0..n)
+        .map(|i| (i, (i + 1) % n, weight(&mut seed)))
+        .collect();
+    for _ in 0..n / 2 {
+        let a = (splitmix(&mut seed) % n as u64) as usize;
+        let b = (splitmix(&mut seed) % n as u64) as usize;
+        if a != b {
+            edges.push((a, b, weight(&mut seed)));
+        }
+    }
+    edges
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    // the dense reference is cubic in n: a few cases keep the debug
+    // suite quick while still spanning the whole size range
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn dataset_map_filter_reduce_match_serial(
-        data in proptest::collection::vec(-1000i64..1000, 0..200),
-        partitions in 1usize..12,
-        workers in 1usize..6,
+    fn lanczos_matches_the_dense_reference_on_both_backends(
+        n in 33usize..300,
+        seed in 0u64..1000,
+        blocks in 1usize..8,
     ) {
-        let cluster = Arc::new(Cluster::new(workers).unwrap());
-        let d = Dataset::from_vec(cluster, data.clone(), partitions);
-        prop_assert_eq!(d.collect(), data.clone());
-        prop_assert_eq!(d.count(), data.len());
-        let mapped = d.map(|x| x * 3 - 1);
-        let serial_mapped: Vec<i64> = data.iter().map(|x| x * 3 - 1).collect();
-        prop_assert_eq!(&mapped.collect()[..], &serial_mapped[..]);
-        let filtered = mapped.filter(|x| x % 2 == 0);
-        let serial_filtered: Vec<i64> =
-            serial_mapped.iter().copied().filter(|x| x % 2 == 0).collect();
-        prop_assert_eq!(&filtered.collect()[..], &serial_filtered[..]);
-        let sum = filtered.reduce(0, |a, b| a + b);
-        prop_assert_eq!(sum, serial_filtered.iter().sum::<i64>());
+        let edges = connected_edges(n, seed);
+        let serial = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
+        let (dense, _) = householder_eigen(&DenseMatrix::from_op(&serial)).unwrap();
+        let tol = 1e-8 * dense[n - 1].abs().max(1.0);
+        let cluster = Arc::new(Cluster::new(2).unwrap());
+        let parallel = ParallelLaplacian::from_edges(cluster, n, &edges, blocks).unwrap();
+        let opts = LanczosOptions::default();
+        for pairs in [
+            smallest_eigenpairs(&serial, 2, &opts).unwrap(),
+            smallest_eigenpairs(&parallel, 2, &opts).unwrap(),
+        ] {
+            for (pair, want) in pairs.iter().zip(&dense) {
+                prop_assert!(
+                    (pair.value - want).abs() <= tol,
+                    "n {n}: lanczos {} vs dense {want}", pair.value
+                );
+            }
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn stage_results_keep_input_order_under_contention(
@@ -103,20 +145,5 @@ proptest! {
         for (a, b) in ys.iter().zip(&yp) {
             prop_assert!((a - b).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn zip_with_matches_serial(
-        data in proptest::collection::vec(-50i32..50, 1..80),
-        pl in 1usize..6,
-        pr in 1usize..6,
-    ) {
-        let cluster = Arc::new(Cluster::new(3).unwrap());
-        let left = Dataset::from_vec(Arc::clone(&cluster), data.clone(), pl);
-        let doubled: Vec<i32> = data.iter().map(|x| x * 2).collect();
-        let right = Dataset::from_vec(cluster, doubled, pr);
-        let combined = left.zip_with(&right, |a, b| a + b);
-        let expected: Vec<i32> = data.iter().map(|x| x * 3).collect();
-        prop_assert_eq!(combined.collect(), expected);
     }
 }

@@ -14,13 +14,13 @@ use crate::{DenseMatrix, LinalgError};
 /// Result of a Householder reduction: the tridiagonal entries and the
 /// accumulated orthogonal transform.
 #[derive(Debug, Clone)]
-pub struct HouseholderReduction {
+struct HouseholderReduction {
     /// Diagonal of `T`.
-    pub diagonal: Vec<f64>,
+    diagonal: Vec<f64>,
     /// Sub-diagonal of `T` (length `n − 1`).
-    pub off_diagonal: Vec<f64>,
+    off_diagonal: Vec<f64>,
     /// Orthogonal `Q` with `A = Q T Qᵀ`, row-major.
-    pub q: DenseMatrix,
+    q: DenseMatrix,
 }
 
 /// Reduces the symmetric matrix `a` to tridiagonal form.
@@ -29,7 +29,7 @@ pub struct HouseholderReduction {
 ///
 /// [`LinalgError::DimensionMismatch`] if `a` is not symmetric within
 /// `1e-9`.
-pub fn householder_tridiagonalize(a: &DenseMatrix) -> Result<HouseholderReduction, LinalgError> {
+fn householder_tridiagonalize(a: &DenseMatrix) -> Result<HouseholderReduction, LinalgError> {
     let n = a.dim();
     if !a.is_symmetric(1e-9) {
         return Err(LinalgError::DimensionMismatch {

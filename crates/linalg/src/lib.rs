@@ -10,19 +10,20 @@
 //!   the serial CSR matrix and the `mec-engine` parallel backend
 //!   implement;
 //! - [`CsrMatrix`] — compressed-sparse-row symmetric matrices;
-//! - [`lanczos`] — Lanczos tridiagonalisation with full
-//!   re-orthogonalisation and optional deflation of known eigenvectors;
+//! - [`smallest_eigenpairs`] / [`smallest_eigenpairs_with`] — the
+//!   Lanczos eigensolver: one Krylov recurrence with full
+//!   re-orthogonalisation, checked at geometric checkpoints, optionally
+//!   seeded with a start vector and run inside a reusable
+//!   [`LanczosScratch`];
 //! - [`tridiagonal_eigen`] — implicit-QL eigensolver for symmetric
 //!   tridiagonal matrices;
 //! - [`jacobi_eigen`] — a dense Jacobi reference solver used for
 //!   cross-validation and small systems;
 //! - [`householder_eigen`] — the classic dense two-stage solver
 //!   (Householder reduction + QL), faster than Jacobi at equal
-//!   robustness;
-//! - [`refine_eigenpair`] — shifted inverse iteration to sharpen
-//!   approximate pairs;
-//! - [`ConjugateGradient`] — an SPD solver used for inverse-iteration
-//!   refinement of eigenpairs.
+//!   robustness; operators at or below
+//!   [`LanczosOptions::dense_cutoff`] are solved with it (or Jacobi)
+//!   directly.
 //!
 //! # Example: Fiedler pair of a path graph
 //!
@@ -52,28 +53,23 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-mod cg;
 mod dense;
 mod error;
 mod householder;
 pub mod kernels;
 mod lanczos;
 mod power;
-mod refine;
 mod sparse;
 mod tridiag;
 pub mod vector;
 
-pub use cg::{CgOutcome, ConjugateGradient};
 pub use dense::{jacobi_eigen, DenseMatrix, JacobiOptions};
 pub use error::LinalgError;
-pub use householder::{householder_eigen, householder_tridiagonalize, HouseholderReduction};
+pub use householder::householder_eigen;
 pub use lanczos::{
-    lanczos, lanczos_traced, lanczos_with, smallest_eigenpairs, smallest_eigenpairs_traced,
-    smallest_eigenpairs_with, Eigenpair, LanczosOptions, LanczosResult, LanczosRun, LanczosScratch,
+    smallest_eigenpairs, smallest_eigenpairs_with, Eigenpair, LanczosOptions, LanczosScratch,
 };
 pub use power::{largest_eigenpair, PowerOptions};
-pub use refine::{refine_eigenpair, residual_norm, RefineOptions};
 pub use sparse::CsrMatrix;
 pub use tridiag::{tridiagonal_eigen, tridiagonal_eigenvalues, tridiagonal_eigenvector};
 

@@ -3,8 +3,8 @@
 //! spectra must satisfy their structural guarantees.
 
 use mec_linalg::{
-    jacobi_eigen, smallest_eigenpairs, tridiagonal_eigen, ConjugateGradient, CsrMatrix,
-    DenseMatrix, JacobiOptions, LanczosOptions, SymOp,
+    jacobi_eigen, smallest_eigenpairs, tridiagonal_eigen, CsrMatrix, DenseMatrix, JacobiOptions,
+    LanczosOptions, SymOp,
 };
 use proptest::prelude::*;
 
@@ -92,23 +92,6 @@ proptest! {
         prop_assert!((pairs[0].value - jvals[0]).abs() < 1e-6);
         prop_assert!((pairs[1].value - jvals[1]).abs() < 1e-6,
             "lanczos {} vs jacobi {}", pairs[1].value, jvals[1]);
-    }
-
-    #[test]
-    fn cg_solution_satisfies_system(m in arb_symmetric(), shift in 10.0f64..20.0) {
-        // make it safely positive definite: A + shift*I
-        let n = m.dim();
-        let mut spd = m.clone();
-        for i in 0..n {
-            spd.set(i, i, spd.get(i, i) + shift + 10.0);
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let out = ConjugateGradient::new().solve(&spd, &b).unwrap();
-        let mut ax = vec![0.0; n];
-        spd.apply(&out.solution, &mut ax);
-        for (got, want) in ax.iter().zip(&b) {
-            prop_assert!((got - want).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::laplacian::CsrLaplacian;
 use crate::{CutScratch, SpectralError};
 use mec_engine::{Cluster, ParallelLaplacian};
-use mec_graph::{Bipartition, CsrAdjacency, Graph, NodeId, Side};
+use mec_graph::{Bipartition, CsrAdjacency, Graph, Side};
 use mec_linalg::{kernels, smallest_eigenpairs_with, Eigenpair, LanczosOptions};
 use mec_obs::{FieldValue, TraceSink};
 use std::sync::Arc;
@@ -45,7 +45,9 @@ pub enum SplitRule {
 #[derive(Debug, Clone)]
 pub struct SpectralCut {
     /// Node assignment (Fiedler-positive side is
-    /// [`Side::Remote`](mec_graph::Side)).
+    /// [`Side::Remote`](mec_graph::Side); a disconnected graph splits
+    /// along its components instead, see
+    /// [`SpectralBisector::bisect`]).
     pub partition: Bipartition,
     /// The second-smallest Laplacian eigenvalue `λ₂` (the algebraic
     /// connectivity; the paper's Theorem 1 reads the minimum cut off
@@ -143,9 +145,12 @@ impl SpectralBisector {
     /// Bisects `g` along its Fiedler vector.
     ///
     /// A single-node graph yields the trivial cut (the node on
-    /// [`Side::Remote`], zero weight, `λ₂ = 0`). Disconnected graphs
-    /// are fine: `λ₂ = 0` and the eigenvector separates components, so
-    /// the returned cut has zero weight.
+    /// [`Side::Remote`], zero weight, `λ₂ = 0`). A disconnected graph
+    /// is split along its components without an eigensolve: the
+    /// component of node 0 goes [`Side::Local`], everything else
+    /// [`Side::Remote`], with zero cut weight, `λ₂ = 0`, and as
+    /// `fiedler_vector` the unit null-space vector that is constant on
+    /// each side and orthogonal to the all-ones vector.
     ///
     /// This is a thin shim over
     /// [`bisect_reusing`](SpectralBisector::bisect_reusing) with a
@@ -166,13 +171,8 @@ impl SpectralBisector {
     /// [`bisect`](SpectralBisector::bisect) with a caller-owned
     /// [`CutScratch`] arena: the CSR snapshot, Krylov basis, and sweep
     /// buffers are recycled across calls, so every cut after the first
-    /// is allocation-free in the eigensolver's inner loop.
-    ///
-    /// A warm-start seed previously staged via
-    /// [`CutScratch::stage_warm_start`] is consumed by this call and
-    /// honoured only when the bisector's `LanczosOptions::warm_start`
-    /// is set; with the flag off the result is bit-identical to
-    /// [`bisect`](SpectralBisector::bisect).
+    /// is allocation-free in the eigensolver's inner loop. Results are
+    /// bit-identical to [`bisect`](SpectralBisector::bisect).
     ///
     /// # Errors
     ///
@@ -184,11 +184,9 @@ impl SpectralBisector {
     ) -> Result<SpectralCut, SpectralError> {
         let n = g.node_count();
         if n == 0 {
-            scratch.clear_warm_start();
             return Err(SpectralError::EmptyGraph);
         }
         if n == 1 {
-            scratch.clear_warm_start();
             let partition = Bipartition::uniform(1, Side::Remote);
             return Ok(SpectralCut {
                 partition,
@@ -201,12 +199,34 @@ impl SpectralBisector {
             Some(s) => s.as_ref(),
             None => &mec_obs::NullSink,
         };
+        scratch.csr.rebuild_from(g);
+        // Disconnected graph: λ₂ = 0 with multiplicity, and one Krylov
+        // sequence cannot tell how many zero eigenvalues there are, so
+        // the eigensolver may return a non-zero λ₂ and a cut through a
+        // component. The true minimum cut is 0: split along components
+        // before solving anything.
+        let first = mark_first_component(&scratch.csr, &mut scratch.order, &mut scratch.local);
+        if first < n {
+            let local = &scratch.local;
+            let partition =
+                Bipartition::from_fn(n, |i| if local[i] { Side::Local } else { Side::Remote });
+            let (a, b) = (first as f64, (n - first) as f64);
+            let (on, off) = ((b / (a * n as f64)).sqrt(), -(a / (b * n as f64)).sqrt());
+            let fiedler_vector = local.iter().map(|&l| if l { on } else { off }).collect();
+            emit_cut(sink, n, 0.0, 0.0);
+            return Ok(SpectralCut {
+                partition,
+                fiedler_value: 0.0,
+                fiedler_vector,
+                cut_weight: 0.0,
+            });
+        }
         // Below the cutoff the serial CSR kernel beats the stage
         // round-trip; the two backends produce bit-identical products
         // (same row contents in the same order), so this is purely a
         // wall-time decision.
         let use_cluster = self.cluster.is_some() && n >= self.serial_cutoff;
-        let pairs = if use_cluster {
+        let mut pairs = if use_cluster {
             let (cluster, blocks) = self.cluster.as_ref().expect("checked above");
             let edges: Vec<(usize, usize, f64)> = g
                 .edges()
@@ -214,26 +234,15 @@ impl SpectralBisector {
                 .collect();
             let l = ParallelLaplacian::from_edges(Arc::clone(cluster), n, &edges, *blocks)
                 .expect("block count is at least 1");
-            let (lanczos, warm) = scratch.lanczos_and_warm();
-            let seed = (self.lanczos.warm_start && warm.len() == n).then_some(warm);
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, seed, sink, lanczos)?
+            smallest_eigenpairs_with(&l, 2, &self.lanczos, None, sink, &mut scratch.lanczos)?
         } else {
-            scratch.csr.rebuild_from(g);
-            let CutScratch {
-                csr, lanczos, warm, ..
-            } = &mut *scratch;
-            let l = CsrLaplacian::new(csr);
-            let seed = (self.lanczos.warm_start && warm.len() == n).then_some(&warm[..]);
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, seed, sink, lanczos)?
+            let l = CsrLaplacian::new(&scratch.csr);
+            smallest_eigenpairs_with(&l, 2, &self.lanczos, None, sink, &mut scratch.lanczos)?
         };
-        scratch.clear_warm_start();
         let Eigenpair {
             value: fiedler_value,
             vector: mut fiedler_vector,
-        } = {
-            let mut pairs = pairs;
-            pairs.swap_remove(1)
-        };
+        } = pairs.swap_remove(1);
         // canonical sign: first non-zero component positive
         if let Some(first) = fiedler_vector.iter().find(|v| v.abs() > 1e-12) {
             if *first < 0.0 {
@@ -242,36 +251,8 @@ impl SpectralBisector {
                 }
             }
         }
-        // Disconnected graph: λ₂ = 0 with multiplicity, and the returned
-        // null-space vector is only piecewise-constant per component — a
-        // component whose constant is ~0 could be torn apart by sign
-        // noise. The true minimum cut is trivially 0, so split along
-        // actual connected components instead.
-        if fiedler_value.abs() <= 1e-9 {
-            let labeling = mec_graph::ComponentLabeling::compute(g);
-            if labeling.count() >= 2 {
-                let partition = Bipartition::from_fn(n, |i| {
-                    if labeling.component_of(NodeId::new(i)) == 0 {
-                        Side::Local
-                    } else {
-                        Side::Remote
-                    }
-                });
-                emit_cut(sink, n, fiedler_value, 0.0);
-                return Ok(SpectralCut {
-                    partition,
-                    fiedler_value,
-                    fiedler_vector,
-                    cut_weight: 0.0,
-                });
-            }
-        }
         let partition = match self.split {
             SplitRule::RatioSweep | SplitRule::Sweep => {
-                if use_cluster {
-                    // the cluster path skipped the serial CSR snapshot
-                    scratch.csr.rebuild_from(g);
-                }
                 let objective = if self.split == SplitRule::RatioSweep {
                     SweepObjective::RatioCut
                 } else {
@@ -293,6 +274,38 @@ impl SpectralBisector {
             cut_weight,
         })
     }
+}
+
+/// Marks the connected component of node 0 breadth-first: on return
+/// `mark[i]` is `true` exactly for its members, and the result is its
+/// size. `queue` holds the frontier; both buffers are reused, so the
+/// check is allocation-free once they are warm.
+pub(crate) fn mark_first_component(
+    csr: &CsrAdjacency,
+    queue: &mut Vec<usize>,
+    mark: &mut Vec<bool>,
+) -> usize {
+    let (offsets, columns, _) = csr.as_parts();
+    mark.clear();
+    mark.resize(csr.node_count(), false);
+    queue.clear();
+    if mark.is_empty() {
+        return 0;
+    }
+    queue.push(0);
+    mark[0] = true;
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        for &c in &columns[offsets[u]..offsets[u + 1]] {
+            let v = c as usize;
+            if !mark[v] {
+                mark[v] = true;
+                queue.push(v);
+            }
+        }
+    }
+    queue.len()
 }
 
 /// Emits one `spectral.cut` event and bumps the `spectral.bisections`
@@ -648,51 +661,5 @@ mod tests {
             .bisect(&g)
             .unwrap();
         assert_eq!(serial.partition, forced.partition);
-    }
-
-    #[test]
-    fn staged_warm_start_changes_seed_but_not_quality() {
-        let g = NetgenSpec::new(100, 320)
-            .components(1)
-            .seed(8)
-            .generate()
-            .unwrap();
-        let cold = SpectralBisector::new().bisect(&g).unwrap();
-
-        let opts = LanczosOptions {
-            warm_start: true,
-            ..LanczosOptions::default()
-        };
-        let warm_bisector = SpectralBisector::new().lanczos_options(opts);
-        let mut scratch = CutScratch::new();
-        // seed with the cold Fiedler vector: the solve should land on
-        // the same eigenpair
-        scratch.stage_warm_start(&cold.fiedler_vector);
-        let warm = warm_bisector.bisect_reusing(&g, &mut scratch).unwrap();
-        assert!((warm.fiedler_value - cold.fiedler_value).abs() < 1e-7);
-        assert!(warm.cut_weight <= cold.cut_weight + 1e-9);
-        // the seed is consumed: the next cut is cold again and must be
-        // bit-identical to the never-warmed solve
-        let again = warm_bisector.bisect_reusing(&g, &mut scratch).unwrap();
-        let never = warm_bisector.bisect(&g).unwrap();
-        assert_eq!(again.partition, never.partition);
-        assert_eq!(again.fiedler_value.to_bits(), never.fiedler_value.to_bits());
-    }
-
-    #[test]
-    fn warm_start_off_ignores_staged_seed() {
-        let g = NetgenSpec::new(64, 180)
-            .components(1)
-            .seed(9)
-            .generate()
-            .unwrap();
-        let plain = SpectralBisector::new().bisect(&g).unwrap();
-        let mut scratch = CutScratch::new();
-        scratch.stage_warm_start(&vec![1.0; g.node_count()]);
-        let cut = SpectralBisector::new()
-            .bisect_reusing(&g, &mut scratch)
-            .unwrap();
-        assert_eq!(plain.partition, cut.partition);
-        assert_eq!(plain.fiedler_value.to_bits(), cut.fiedler_value.to_bits());
     }
 }

@@ -10,15 +10,14 @@
 //! every level below the root restricts it through a
 //! [`mec_graph::CsrView`] compacted into a second pooled CSR (one
 //! O(subset edges) pass — the eigensolver then iterates on dense rows),
-//! and each child cut can be warm-started with the restriction of its
-//! parent's Fiedler vector (`LanczosOptions::warm_start`, default off —
-//! results are bit-identical to the cold solver when off).
+//! and each child cut seeds its Krylov recurrence with the restriction
+//! of its parent's Fiedler vector.
 
-use crate::bisect::DEFAULT_SERIAL_CUTOFF;
+use crate::bisect::{mark_first_component, DEFAULT_SERIAL_CUTOFF};
 use crate::laplacian::CsrLaplacian;
 use crate::{CutScratch, SpectralError, SplitRule};
-use mec_graph::{CsrView, Graph, NodeId};
-use mec_linalg::{kernels, smallest_eigenpairs_with, Eigenpair, LanczosOptions};
+use mec_graph::{CsrView, Graph};
+use mec_linalg::{kernels, smallest_eigenpairs_with, LanczosOptions};
 
 const OUTSIDE: u32 = CsrView::OUTSIDE;
 
@@ -72,17 +71,14 @@ impl Default for RecursiveBisector {
 
 impl RecursiveBisector {
     /// A partitioner with default options: depth 3 (≤ 8 parts),
-    /// [`SplitRule::Sign`], cold-started Lanczos.
+    /// [`SplitRule::Sign`], default Lanczos options.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Overrides the eigensolver options. Setting
-    /// `LanczosOptions::warm_start` makes every child cut seed its
-    /// Krylov recurrence with the restriction of the parent's Fiedler
-    /// vector — typically fewer iterations per level, at the price of
-    /// losing bit-identity with the cold solver (cut *quality* stays on
-    /// par; see `tests/alloc_budget.rs`).
+    /// Overrides the eigensolver options. Whatever the options, every
+    /// child cut seeds its Krylov recurrence with the restriction of
+    /// the parent's Fiedler vector.
     pub fn lanczos_options(mut self, opts: LanczosOptions) -> Self {
         self.lanczos = opts;
         self
@@ -184,84 +180,33 @@ impl RecursiveBisector {
             // matrix–vector product below then runs on dense rows
             // instead of re-filtering the parent CSR
             csr_sub.rebuild_from_view(&csr.view(&nodes, to_local));
-            let op = CsrLaplacian::new(csr_sub);
-            let seed = (self.lanczos.warm_start && warm.len() == m).then_some(&warm[..]);
-            let mut pairs =
-                smallest_eigenpairs_with(&op, 2, &self.lanczos, seed, &mec_obs::NullSink, lanczos)?;
-            let Eigenpair {
-                value: fiedler_value,
-                vector: mut fiedler,
-            } = pairs.swap_remove(1);
-            // canonical sign: first non-zero component positive
-            if let Some(first) = fiedler.iter().find(|v| v.abs() > 1e-12) {
-                if *first < 0.0 {
-                    for v in &mut fiedler {
-                        *v = -*v;
-                    }
-                }
-            }
-
-            // `local[l] == true` → node goes to the left child
-            local.clear();
-            local.resize(m, false);
-            let mut proper = false;
-            if fiedler_value.abs() <= 1e-9 {
-                // disconnected subset: peel the component of local 0
-                let mut queue = idx_pool.pop().unwrap_or_default();
-                queue.clear();
-                queue.push(0);
-                local[0] = true;
-                let mut head = 0;
-                while head < queue.len() {
-                    let u = queue[head] as usize;
-                    head += 1;
-                    for (nb, _) in csr_sub.row(NodeId::new(u)) {
-                        if !local[nb.index()] {
-                            local[nb.index()] = true;
-                            queue.push(u32::try_from(nb.index()).expect("subset fits u32"));
+            // `local[l] == true` → node goes to the left child. A
+            // disconnected subset peels the component of local 0 at
+            // zero cut weight without an eigensolve — one Krylov
+            // sequence cannot tell how many zero eigenvalues there are
+            // — and its children start unseeded.
+            let mut fiedler = Vec::new();
+            let proper = mark_first_component(csr_sub, order, local) < m || {
+                let op = CsrLaplacian::new(csr_sub);
+                let mut pairs = smallest_eigenpairs_with(
+                    &op,
+                    2,
+                    &self.lanczos,
+                    Some(&warm),
+                    &mec_obs::NullSink,
+                    lanczos,
+                )?;
+                fiedler = pairs.swap_remove(1).vector;
+                // canonical sign: first non-zero component positive
+                if let Some(first) = fiedler.iter().find(|v| v.abs() > 1e-12) {
+                    if *first < 0.0 {
+                        for v in &mut fiedler {
+                            *v = -*v;
                         }
                     }
                 }
-                proper = queue.len() < m;
-                if !proper {
-                    // connected after all (λ₂ merely tiny): reset and
-                    // fall through to the configured split rule
-                    local.clear();
-                    local.resize(m, false);
-                }
-                idx_pool.push(queue);
-            }
-            if !proper {
-                proper = match self.split {
-                    SplitRule::Sweep | SplitRule::RatioSweep => {
-                        sweep_sides(csr_sub, &fiedler, self.split, order, local)
-                    }
-                    SplitRule::Sign => {
-                        for (l, &x) in fiedler.iter().enumerate() {
-                            local[l] = x < 0.0;
-                        }
-                        let lefts = local.iter().filter(|&&s| s).count();
-                        lefts > 0 && lefts < m
-                    }
-                    SplitRule::Median => false,
-                };
-                if !proper {
-                    // Sign produced an improper split, or Median: take
-                    // the lower half of the Fiedler ordering
-                    order.clear();
-                    order.extend(0..m);
-                    order.sort_by(|&a, &b| {
-                        fiedler[a]
-                            .partial_cmp(&fiedler[b])
-                            .expect("components are finite")
-                    });
-                    local.iter_mut().for_each(|s| *s = false);
-                    for &l in order.iter().take(m / 2) {
-                        local[l] = true;
-                    }
-                    proper = m >= 2;
-                }
-            }
+                split_sides(csr_sub, &fiedler, self.split, order, local)
+            };
 
             let mut left = idx_pool.pop().unwrap_or_default();
             let mut right = idx_pool.pop().unwrap_or_default();
@@ -274,14 +219,10 @@ impl RecursiveBisector {
             for (l, &p) in nodes.iter().enumerate() {
                 if local[l] {
                     left.push(p);
-                    if self.lanczos.warm_start {
-                        warm_left.push(fiedler[l]);
-                    }
+                    warm_left.extend(fiedler.get(l));
                 } else {
                     right.push(p);
-                    if self.lanczos.warm_start {
-                        warm_right.push(fiedler[l]);
-                    }
+                    warm_right.extend(fiedler.get(l));
                 }
             }
             for &p in &nodes {
@@ -310,6 +251,49 @@ impl RecursiveBisector {
             parts: parts as usize,
         })
     }
+}
+
+/// Splits a connected subset by `rule` along its Fiedler vector,
+/// marking the left child in `local`. Falls back to the lower half of
+/// the Fiedler ordering when the rule yields an improper split (and
+/// always for [`SplitRule::Median`]). Returns whether the split is
+/// proper.
+fn split_sides(
+    csr: &mec_graph::CsrAdjacency,
+    fiedler: &[f64],
+    rule: SplitRule,
+    order: &mut Vec<usize>,
+    local: &mut Vec<bool>,
+) -> bool {
+    let m = fiedler.len();
+    local.clear();
+    local.resize(m, false);
+    let proper = match rule {
+        SplitRule::Sweep | SplitRule::RatioSweep => sweep_sides(csr, fiedler, rule, order, local),
+        SplitRule::Sign => {
+            for (l, &x) in fiedler.iter().enumerate() {
+                local[l] = x < 0.0;
+            }
+            let lefts = local.iter().filter(|&&s| s).count();
+            lefts > 0 && lefts < m
+        }
+        SplitRule::Median => false,
+    };
+    if proper {
+        return true;
+    }
+    order.clear();
+    order.extend(0..m);
+    order.sort_by(|&a, &b| {
+        fiedler[a]
+            .partial_cmp(&fiedler[b])
+            .expect("components are finite")
+    });
+    local.iter_mut().for_each(|s| *s = false);
+    for &l in order.iter().take(m / 2) {
+        local[l] = true;
+    }
+    m >= 2
 }
 
 /// Compact-CSR sweep: prices every prefix of the Fiedler ordering
@@ -448,33 +432,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(b, c);
         assert!(a.parts >= 2);
-    }
-
-    #[test]
-    fn warm_start_keeps_cut_quality() {
-        for seed in [1u64, 5, 12] {
-            let g = NetgenSpec::new(150, 450)
-                .components(1)
-                .seed(seed)
-                .generate()
-                .unwrap();
-            let cold = RecursiveBisector::new().partition(&g).unwrap();
-            let warm = RecursiveBisector::new()
-                .lanczos_options(LanczosOptions {
-                    warm_start: true,
-                    ..LanczosOptions::default()
-                })
-                .partition(&g)
-                .unwrap();
-            assert_eq!(cold.parts, warm.parts, "seed {seed}");
-            let (cw, ww) = (cold.cut_weight(&g), warm.cut_weight(&g));
-            // warm starts change the Krylov seed, not the physics: cut
-            // weights must stay within a few percent of each other
-            assert!(
-                (cw - ww).abs() <= 0.05 * cw.max(1.0),
-                "seed {seed}: cold {cw} vs warm {ww}"
-            );
-        }
     }
 
     #[test]

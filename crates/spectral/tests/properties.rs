@@ -3,7 +3,7 @@
 
 use mec_graph::{NodeId, Side};
 use mec_netgen::NetgenSpec;
-use mec_spectral::{theory, SpectralBisector, SplitRule};
+use mec_spectral::{theory, RecursiveBisector, SpectralBisector, SplitRule};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = mec_graph::Graph> {
@@ -98,5 +98,46 @@ proptest! {
         let cut = SpectralBisector::new().bisect(&g2).unwrap();
         prop_assert!(cut.fiedler_value.abs() < 1e-6);
         prop_assert_eq!(cut.cut_weight, 0.0);
+    }
+}
+
+/// One Krylov sequence cannot see the multiplicity of `λ = 0`, so an
+/// eigensolver alone may report a non-zero `λ₂` on a disconnected
+/// graph and cut through a component. The bisector checks connectivity
+/// before solving: a connected graph plus one isolated node always
+/// splits along the components, at zero weight — flat and recursive.
+#[test]
+fn connected_graph_plus_isolated_node_splits_at_zero_weight() {
+    for seed in 0u64..20 {
+        let g = NetgenSpec::new(120, 240)
+            .components(1)
+            .unoffloadable_fraction(0.0)
+            .seed(seed)
+            .generate()
+            .expect("feasible spec");
+        let mut b = mec_graph::GraphBuilder::new();
+        let ids: Vec<NodeId> = g.node_ids().map(|n| b.add_node(g.node_weight(n))).collect();
+        for e in g.edges() {
+            b.add_edge(ids[e.source.index()], ids[e.target.index()], e.weight)
+                .unwrap();
+        }
+        let isolated = b.add_node(1.0);
+        let g2 = b.build();
+        let cut = SpectralBisector::new().bisect(&g2).unwrap();
+        assert_eq!(cut.cut_weight, 0.0, "seed {seed}");
+        assert_eq!(cut.fiedler_value, 0.0, "seed {seed}");
+        assert_eq!(cut.partition.count_on(Side::Remote), 1, "seed {seed}");
+        assert_eq!(cut.partition.side(isolated), Side::Remote, "seed {seed}");
+        // the recursive partitioner peels components the same way
+        let parts = RecursiveBisector::new()
+            .max_depth(1)
+            .partition(&g2)
+            .unwrap();
+        assert_eq!(parts.cut_weight(&g2), 0.0, "seed {seed}");
+        assert_eq!(
+            parts.part_size(parts.part_of[isolated.index()]),
+            1,
+            "seed {seed}"
+        );
     }
 }

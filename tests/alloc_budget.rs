@@ -3,39 +3,52 @@
 //! The perf contract this file pins (referenced from
 //! `mec_linalg::LanczosScratch` and `mec_spectral::CutScratch` docs):
 //!
-//! - a warm [`lanczos_with`] re-run at the same dimension performs
-//!   **zero** heap allocations — the recurrence inner loop lives
-//!   entirely in pooled buffers, which is what makes recursion levels
-//!   ≥ 2 of [`RecursiveBisector::partition_reusing`] allocation-free
-//!   in the eigensolver;
+//! - a warm [`smallest_eigenpairs_with`] re-run at the same dimension
+//!   allocates an exact, small number of times — the recurrence inner
+//!   loop lives entirely in pooled buffers, so only the convergence
+//!   checkpoints and the returned pairs touch the heap;
 //! - a warm `partition_reusing` run allocates a small fraction of its
 //!   cold first run;
-//! - toggling `LanczosOptions::warm_start` changes wall-time only, not
-//!   cut quality.
+//! - seeding child cuts with the parent's Fiedler restriction changes
+//!   wall-time only, not cut quality.
 //!
-//! The counting allocator is process-global, so the measuring tests
-//! serialise on a mutex and take the minimum over several attempts —
-//! a concurrent harness thread can only inflate a sample, never
-//! deflate it.
+//! Single-thread measurements count the measuring thread's own
+//! allocations through a thread-local counter, so concurrent test
+//! threads cannot perturb them and every count is exact. Only the
+//! sharded-recorder measurement reads the process-global counter (and
+//! takes the minimum over several attempts, since a concurrent harness
+//! thread can only inflate a sample, never deflate it). Every test in
+//! this binary holds [`MEASURE_LOCK`] so that measurement sees as
+//! little concurrent allocation as possible, and a failed test cannot
+//! poison the others out of their measurements.
 
-use copmecs::linalg::{lanczos_with, CsrMatrix, LanczosOptions, LanczosScratch};
+use copmecs::linalg::{smallest_eigenpairs_with, CsrMatrix, LanczosOptions, LanczosScratch};
 use copmecs::prelude::*;
-use copmecs::spectral::{CutScratch, RecursiveBisector};
+use copmecs::spectral::{CutScratch, RecursiveBisector, RecursivePartition};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // `const`-initialised and drop-free: reading or bumping it never
+    // allocates, so the allocator itself can use it
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 struct CountingAlloc;
 
-// SAFETY: delegates to `System` verbatim; the counter update has no
+// SAFETY: delegates to `System` verbatim; the counter updates have no
 // safety obligations.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            // `try_with`: the slot is gone while the thread tears down
+            let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
         }
         p
     }
@@ -48,12 +61,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serialises the measuring tests: the counter is process-global.
+/// Serialises the tests of this binary; a panicking test must not
+/// turn into failures of every test after it.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Heap allocations performed while `f` runs (on any thread — callers
-/// hold [`MEASURE_LOCK`] and take minima to stay robust).
-fn alloc_delta(mut f: impl FnMut()) -> u64 {
+fn measure_lock() -> MutexGuard<'static, ()> {
+    MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Heap allocations the calling thread performs while `f` runs — exact
+/// for work that stays on this thread.
+fn thread_alloc_delta(f: impl FnOnce()) -> u64 {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    f();
+    THREAD_ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Heap allocations performed on any thread while `f` runs.
+fn global_alloc_delta(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
     ALLOCATIONS.load(Ordering::Relaxed) - before
@@ -73,54 +98,55 @@ fn laplacian(nodes: usize, edges: usize, seed: u64) -> CsrMatrix {
 }
 
 #[test]
-fn warm_lanczos_rerun_is_allocation_free() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+fn warm_eigensolver_rerun_allocates_only_checkpoints_and_results() {
+    let _guard = measure_lock();
     let l = laplacian(200, 600, 17);
     let opts = LanczosOptions::default();
     let mut scratch = LanczosScratch::new();
     let run = |scratch: &mut LanczosScratch| {
-        let r = lanczos_with(&l, 80, &opts, None, &copmecs::obs::NullSink, scratch).unwrap();
-        assert_eq!(r.alphas.len(), 80);
+        let pairs =
+            smallest_eigenpairs_with(&l, 2, &opts, None, &copmecs::obs::NullSink, scratch).unwrap();
+        assert_eq!(pairs.len(), 2);
     };
     // two warm-ups: the first grows the pool, the second grows the
     // pool vector itself to its high-water capacity
     run(&mut scratch);
     run(&mut scratch);
-    let min_delta = (0..3)
-        .map(|_| alloc_delta(|| run(&mut scratch)))
-        .min()
-        .unwrap();
-    assert_eq!(min_delta, 0, "warm Lanczos re-run must not touch the heap");
+    // The Krylov recurrence itself allocates nothing once warm. This
+    // solve takes 8 convergence checkpoints (subspace dimensions 28,
+    // 37, 49, 65, 86, 114, 152, 200); each allocates 2 eigenvalue
+    // workspaces (QL diagonal and off-diagonal copies), 1 Ritz-vector
+    // list and, per requested pair, 3 inverse-iteration factor rows
+    // plus 1 iterate: 2 + 1 + 2 × 4 = 11. The returned pairs add the
+    // result vector and one eigenvector per pair: 1 + 2 = 3.
+    const EXPECTED: u64 = 8 * 11 + 3;
+    for _ in 0..3 {
+        let delta = thread_alloc_delta(|| run(&mut scratch));
+        assert_eq!(
+            delta, EXPECTED,
+            "warm eigensolver re-run allocation count changed"
+        );
+    }
 }
 
 #[test]
 fn warm_partition_rerun_allocates_a_fraction_of_the_cold_run() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let g = NetgenSpec::new(300, 900)
         .components(1)
         .seed(23)
         .generate()
         .expect("generable workload");
-    let bisector = RecursiveBisector::new()
-        .max_depth(3)
-        .lanczos_options(LanczosOptions {
-            warm_start: true,
-            ..LanczosOptions::default()
-        });
+    let bisector = RecursiveBisector::new().max_depth(3);
     let mut scratch = CutScratch::new();
-    let cold = alloc_delta(|| {
+    let cold = thread_alloc_delta(|| {
         bisector.partition_reusing(&g, &mut scratch).unwrap();
     });
     // one extra warm-up so every pool reaches its high-water mark
     bisector.partition_reusing(&g, &mut scratch).unwrap();
-    let warm = (0..3)
-        .map(|_| {
-            alloc_delta(|| {
-                bisector.partition_reusing(&g, &mut scratch).unwrap();
-            })
-        })
-        .min()
-        .unwrap();
+    let warm = thread_alloc_delta(|| {
+        bisector.partition_reusing(&g, &mut scratch).unwrap();
+    });
     // the recurrence itself is allocation-free once warm (previous
     // test); what remains on a warm partition run is per-cut result
     // assembly plus the small tridiagonal checkpoint workspaces, so
@@ -142,12 +168,12 @@ fn disabled_metrics_hot_path_is_allocation_free() {
     use copmecs::obs::TraceSink;
     use std::time::Duration;
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let disabled = MetricsRegistry::disabled();
     let hist = disabled.histogram("stage.compression_nanos");
     let ctr = disabled.counter("engine.worker_busy_nanos");
     let gauge = disabled.gauge("engine.live_workers");
-    let delta = alloc_delta(|| {
+    let delta = thread_alloc_delta(|| {
         for i in 0..10_000u64 {
             NullSink.histogram_record("lanczos.iterations", i);
             NullSink.counter_add("lanczos.restarts", 1);
@@ -173,7 +199,7 @@ fn null_sink_solve_is_bit_identical_and_allocation_neutral() {
     use copmecs_core::Offloader;
     use std::sync::Arc;
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let g = NetgenSpec::new(150, 450)
         .seed(31)
         .generate()
@@ -192,16 +218,10 @@ fn null_sink_solve_is_bit_identical_and_allocation_neutral() {
         "NullSink must not perturb the plan"
     );
 
-    // min over repeats: a concurrent harness thread can only inflate a
-    // sample, never deflate it
-    let measure = |off: &Offloader| {
-        (0..3)
-            .map(|_| alloc_delta(|| drop(off.solve(&scenario).unwrap())))
-            .min()
-            .unwrap()
-    };
-    let plain_allocs = measure(&plain);
-    let nulled_allocs = measure(&nulled);
+    // the default offloader solves on the calling thread, so the
+    // per-thread counts are exact
+    let plain_allocs = thread_alloc_delta(|| drop(plain.solve(&scenario).unwrap()));
+    let nulled_allocs = thread_alloc_delta(|| drop(nulled.solve(&scenario).unwrap()));
     assert!(
         nulled_allocs <= plain_allocs,
         "NullSink solve allocated more than the untraced solve: {nulled_allocs} vs {plain_allocs}"
@@ -220,7 +240,7 @@ fn null_sink_solve_is_bit_identical_and_allocation_neutral() {
 fn warm_sharded_recording_is_allocation_free() {
     use copmecs::obs::{FieldValue, ShardConfig, ShardedRecorder, TraceSink};
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let rec = ShardedRecorder::with_config(ShardConfig {
         shards: 2,
         capacity: 1 << 15,
@@ -240,9 +260,11 @@ fn warm_sharded_recording_is_allocation_free() {
     };
     round(&rec);
     rec.flush();
-    let min_delta = (0..3)
+    // the recorder is shared across threads by design, so count every
+    // thread's allocations and take the minimum over attempts
+    let min_delta = (0..5)
         .map(|_| {
-            let d = alloc_delta(|| round(&rec));
+            let d = global_alloc_delta(|| round(&rec));
             rec.flush();
             d
         })
@@ -262,7 +284,7 @@ fn warm_sharded_recording_is_allocation_free() {
 /// to per-call scenario rebuilding blows well past it.
 #[test]
 fn steady_state_replan_allocations_stay_pinned() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut session = OffloadSession::new(SystemParams::default());
     for i in 0..6u64 {
         let g = NetgenSpec::new(60, 180)
@@ -275,10 +297,7 @@ fn steady_state_replan_allocations_stay_pinned() {
     }
     // warm-up: interns strings, grows any lazily-sized buffers
     session.replan().unwrap();
-    let warm = (0..5)
-        .map(|_| alloc_delta(|| drop(session.replan().unwrap())))
-        .min()
-        .unwrap();
+    let warm = thread_alloc_delta(|| drop(session.replan().unwrap()));
     // calibrated: a 6-user replan measures ~215 allocations (greedy
     // part-system + per-user costs + report assembly); the ceiling
     // leaves ~2.5x headroom while staying low enough that per-call
@@ -290,29 +309,66 @@ fn steady_state_replan_allocations_stay_pinned() {
     );
 }
 
+/// Recursive bisection without child seeds: an owned sub-graph and a
+/// fresh [`SpectralBisector::bisect`] per level, so every eigensolve
+/// starts from the pseudo-random vector.
+fn unseeded_partition(g: &Graph, depth: usize) -> RecursivePartition {
+    let bisector = SpectralBisector::new();
+    let mut part_of = vec![0u32; g.node_count()];
+    let mut parts = 0u32;
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    let mut stack = vec![(g.clone(), ids, depth)];
+    while let Some((sub, to_root, left)) = stack.pop() {
+        let cut = (left > 0 && sub.node_count() >= 2).then(|| bisector.bisect(&sub).unwrap());
+        let Some(cut) = cut.filter(|c| c.partition.is_proper()) else {
+            for id in &to_root {
+                part_of[id.index()] = parts;
+            }
+            parts += 1;
+            continue;
+        };
+        // remote side pushed first so the local (left) side is cut
+        // first, numbering parts like the recursive bisector
+        for side in [Side::Remote, Side::Local] {
+            let locals: Vec<NodeId> = sub
+                .node_ids()
+                .filter(|&n| cut.partition.side(n) == side)
+                .collect();
+            let child = copmecs::graph::Subgraph::induced(&sub, &locals);
+            let child_to_root = child
+                .parent_ids()
+                .iter()
+                .map(|&l| to_root[l.index()])
+                .collect();
+            stack.push((child.into_parts().0, child_to_root, left - 1));
+        }
+    }
+    RecursivePartition {
+        part_of,
+        parts: parts as usize,
+    }
+}
+
 #[test]
-fn warm_start_toggle_preserves_cut_quality_across_seeds() {
+fn parent_seeded_recursion_keeps_unseeded_cut_quality_across_seeds() {
+    let _guard = measure_lock();
     for seed in [5u64, 11, 23, 42] {
         let g = NetgenSpec::new(260, 780)
             .components(1)
             .seed(seed)
             .generate()
             .expect("generable workload");
-        let cold = RecursiveBisector::new().max_depth(2).partition(&g).unwrap();
+        let unseeded = unseeded_partition(&g, 2);
         let mut scratch = CutScratch::new();
-        let warm = RecursiveBisector::new()
+        let seeded = RecursiveBisector::new()
             .max_depth(2)
-            .lanczos_options(LanczosOptions {
-                warm_start: true,
-                ..LanczosOptions::default()
-            })
             .partition_reusing(&g, &mut scratch)
             .unwrap();
-        assert_eq!(cold.parts, warm.parts, "seed {seed}");
-        let (cw, ww) = (cold.cut_weight(&g), warm.cut_weight(&g));
+        assert_eq!(unseeded.parts, seeded.parts, "seed {seed}");
+        let (uw, sw) = (unseeded.cut_weight(&g), seeded.cut_weight(&g));
         assert!(
-            (cw - ww).abs() <= 0.05 * cw.max(ww) + 1e-9,
-            "cut quality diverged at seed {seed}: cold {cw} vs warm {ww}"
+            (uw - sw).abs() <= 0.05 * uw.max(sw) + 1e-9,
+            "cut quality diverged at seed {seed}: unseeded {uw} vs seeded {sw}"
         );
     }
 }

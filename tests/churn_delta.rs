@@ -1,14 +1,14 @@
 //! Property coverage for delta replanning: over random churn
 //! sequences (joins, leaves, resubmits, several seeds) the
-//! warm-started delta replan must never price worse than a
-//! from-scratch replan of the same crowd, and whenever the drift
-//! fallback forces a full rebuild the plans must match exactly.
+//! warm-started delta replan must never price worse than solving the
+//! same crowd from scratch with [`Offloader::solve`], and a session
+//! with a zero drift limit — which rebuilds after any churn — must
+//! match that one-shot solve exactly.
 //!
 //! The CI matrix runs this file on both the default leg and the
 //! `MEC_FORCE_SERIAL=1` leg; the cluster-backed case below covers the
 //! pooled backend within a single run.
 
-use copmecs::core::{OffloadSession, ReplanMode};
 use copmecs::prelude::*;
 use std::sync::Arc;
 
@@ -33,16 +33,21 @@ fn app_graph(seed: u64) -> Arc<Graph> {
     Arc::new(NetgenSpec::new(40, 110).seed(seed).generate().unwrap())
 }
 
-/// Applies one random churn event identically to both sessions and
-/// returns a label for failure messages.
+/// The crowd in session order: joins append, resubmits replace in
+/// place, leaves remove order-preservingly — the order an
+/// [`OffloadSession`] keeps its users in.
+type Crowd = Vec<(String, Arc<Graph>)>;
+
+/// Applies one random churn event identically to `crowd` and every
+/// session, and returns a label for failure messages.
 fn churn_step(
     rng: &mut Rng,
     next_user: &mut u64,
-    present: &mut Vec<String>,
+    crowd: &mut Crowd,
     sessions: &mut [&mut OffloadSession],
 ) -> String {
     let roll = rng.below(10);
-    if present.is_empty() || roll < 4 {
+    if crowd.is_empty() || roll < 4 {
         // arrival
         let name = format!("u{}", *next_user);
         let g = app_graph(1000 + *next_user);
@@ -50,52 +55,72 @@ fn churn_step(
         for s in sessions.iter_mut() {
             s.join(name.clone(), Arc::clone(&g)).unwrap();
         }
-        present.push(name.clone());
+        crowd.push((name.clone(), g));
         format!("join {name}")
     } else if roll < 7 {
         // departure
-        let victim = present.remove(rng.below(present.len() as u64) as usize);
+        let (victim, _) = crowd.remove(rng.below(crowd.len() as u64) as usize);
         for s in sessions.iter_mut() {
             assert!(s.leave(&victim));
         }
         format!("leave {victim}")
     } else {
         // resubmit: same name, new workload
-        let who = present[rng.below(present.len() as u64) as usize].clone();
+        let slot = rng.below(crowd.len() as u64) as usize;
         let g = app_graph(5000 + rng.below(64));
+        let who = crowd[slot].0.clone();
         for s in sessions.iter_mut() {
             s.join(who.clone(), Arc::clone(&g)).unwrap();
         }
+        crowd[slot].1 = g;
         format!("resubmit {who}")
     }
 }
 
+/// The independent reference: the crowd solved from scratch by the
+/// one-shot pipeline.
+fn one_shot(crowd: &Crowd) -> OffloadReport {
+    let scenario = crowd
+        .iter()
+        .fold(Scenario::new(SystemParams::default()), |s, (name, g)| {
+            s.with_user(UserWorkload::new(name.clone(), Arc::clone(g)))
+        });
+    Offloader::new().solve(&scenario).unwrap()
+}
+
+fn assert_bit_identical(got: &OffloadReport, reference: &OffloadReport, context: &str) {
+    assert_eq!(got.plan, reference.plan, "{context}: plan diverged");
+    assert_eq!(
+        got.evaluation.totals.objective().to_bits(),
+        reference.evaluation.totals.objective().to_bits(),
+        "{context}: objective must be bit-identical"
+    );
+}
+
 #[test]
-fn delta_replan_is_objective_no_worse_than_full() {
+fn delta_replan_is_objective_no_worse_than_a_one_shot_solve() {
     for seed in [3u64, 17, 42] {
         let mut rng = Rng(seed);
         let mut delta = OffloadSession::new(SystemParams::default());
-        let mut full =
-            OffloadSession::new(SystemParams::default()).with_replan_mode(ReplanMode::Full);
-        let mut present = Vec::new();
+        let mut crowd = Crowd::new();
         let mut next_user = 0u64;
         let mut history = Vec::new();
         for step in 0..24 {
             history.push(churn_step(
                 &mut rng,
                 &mut next_user,
-                &mut present,
-                &mut [&mut delta, &mut full],
+                &mut crowd,
+                &mut [&mut delta],
             ));
             // replan every couple of events so warm starts see both
             // single-event and multi-event dirty sets
             if step % 2 == 1 {
                 let d = delta.replan().unwrap().evaluation.totals.objective();
-                let f = full.replan().unwrap().evaluation.totals.objective();
+                let f = one_shot(&crowd).evaluation.totals.objective();
                 let tol = 1e-9 * f.abs().max(1.0);
                 assert!(
                     d <= f + tol,
-                    "seed {seed}: delta objective {d} worse than full {f} after {history:?}"
+                    "seed {seed}: delta objective {d} worse than one-shot {f} after {history:?}"
                 );
             }
         }
@@ -103,58 +128,52 @@ fn delta_replan_is_objective_no_worse_than_full() {
 }
 
 #[test]
-fn zero_drift_limit_stays_plan_identical_to_full() {
+fn zero_drift_limit_is_bit_identical_to_a_one_shot_solve() {
     for seed in [7u64, 29] {
         let mut rng = Rng(seed);
-        // drift limit 0: any churn trips the fallback, so every replan
-        // is the from-scratch path and must match full mode *exactly*
+        // drift limit 0: any churn trips the rebuild, so every replan
+        // is the from-scratch path and must match the one-shot solve
+        // *exactly*
         let mut strict = OffloadSession::new(SystemParams::default()).with_drift_limit(0.0);
-        let mut full =
-            OffloadSession::new(SystemParams::default()).with_replan_mode(ReplanMode::Full);
-        let mut present = Vec::new();
+        let mut crowd = Crowd::new();
         let mut next_user = 0u64;
         for step in 0..16 {
-            churn_step(
-                &mut rng,
-                &mut next_user,
-                &mut present,
-                &mut [&mut strict, &mut full],
-            );
+            let event = churn_step(&mut rng, &mut next_user, &mut crowd, &mut [&mut strict]);
             if step % 3 == 2 {
-                let s = strict.replan().unwrap();
-                let f = full.replan().unwrap();
-                assert_eq!(s.plan, f.plan, "seed {seed}: fallback diverged from full");
-                assert_eq!(
-                    s.evaluation.totals.objective().to_bits(),
-                    f.evaluation.totals.objective().to_bits(),
-                    "seed {seed}: fallback must be bit-identical to full"
-                );
+                let context = format!("seed {seed}, step {step} ({event})");
+                assert_bit_identical(&strict.replan().unwrap(), &one_shot(&crowd), &context);
             }
         }
     }
 }
 
 #[test]
-fn delta_matches_full_quality_on_the_cluster_backend() {
+fn one_shot_parity_holds_on_the_cluster_backend() {
     let cluster = Arc::new(copmecs::engine::Cluster::new(2).unwrap());
     let mut delta = OffloadSession::new(SystemParams::default()).with_cluster(Arc::clone(&cluster));
-    let mut full = OffloadSession::new(SystemParams::default())
+    let mut strict = OffloadSession::new(SystemParams::default())
         .with_cluster(cluster)
-        .with_replan_mode(ReplanMode::Full);
+        .with_drift_limit(0.0);
     let mut rng = Rng(11);
-    let mut present = Vec::new();
+    let mut crowd = Crowd::new();
     let mut next_user = 0u64;
     for step in 0..12 {
         churn_step(
             &mut rng,
             &mut next_user,
-            &mut present,
-            &mut [&mut delta, &mut full],
+            &mut crowd,
+            &mut [&mut delta, &mut strict],
         );
         if step % 2 == 1 {
+            let reference = one_shot(&crowd);
+            let f = reference.evaluation.totals.objective();
             let d = delta.replan().unwrap().evaluation.totals.objective();
-            let f = full.replan().unwrap().evaluation.totals.objective();
             assert!(d <= f + 1e-9 * f.abs().max(1.0));
+            assert_bit_identical(
+                &strict.replan().unwrap(),
+                &reference,
+                &format!("step {step}"),
+            );
         }
     }
 }
