@@ -24,6 +24,19 @@
 //! each round (the literal reading of Algorithm 2); [`GreedyMode::Lazy`]
 //! drains a lazily-updated max-heap and rescans when it runs dry — far
 //! fewer evaluations, same kind of local optimum.
+//!
+//! A delta replan warm-starts the lazy driver ([`run_greedy_warm`]):
+//! it drains only the churned users' candidates, then must show that no
+//! candidate of the crowd improves. Under `EqualShare` and
+//! `ProportionalToLoad` the [`MoveIndex`] certificate shows it from
+//! per-block line envelopes, pricing only the touched users'
+//! candidates (`greedy/certificate.rs`); a full rescan runs only when
+//! the certificate finds an improving candidate, for `Fifo`, and for
+//! the exhaustive driver. Candidate pricing itself allocates nothing.
+
+mod certificate;
+
+pub(crate) use certificate::MoveIndex;
 
 use crate::parts::PartSystem;
 use mec_graph::Side;
@@ -92,6 +105,53 @@ struct ObjectiveState {
     rw_user: Vec<f64>,
     /// Users with positive remote work.
     offloaders: usize,
+    /// Users whose parts [`apply_batch`](Self::apply_batch) moved, in
+    /// move order (may repeat).
+    moved: Vec<usize>,
+}
+
+/// The parts one relocation moves, without materialising a list.
+#[derive(Debug, Clone, Copy)]
+enum Batch {
+    /// One part, or both parts of a component (`len` of `ids` used).
+    Parts { ids: [usize; 2], len: usize },
+    /// Every part of the user on the side opposite the destination.
+    User(usize),
+}
+
+impl Batch {
+    fn one(i: usize) -> Self {
+        Batch::Parts {
+            ids: [i, i],
+            len: 1,
+        }
+    }
+
+    fn pair(a: usize, b: usize) -> Self {
+        Batch::Parts {
+            ids: [a, b],
+            len: 2,
+        }
+    }
+
+    /// The moving parts in ascending order (their components are
+    /// therefore non-decreasing), given destination `to`.
+    fn iter<'a>(&'a self, ps: &'a PartSystem, to: Side) -> impl Iterator<Item = usize> + 'a {
+        let (few, user): (&[usize], &[usize]) = match self {
+            Batch::Parts { ids, len } => (&ids[..*len], &[]),
+            Batch::User(u) => (&[], ps.parts_of_user(*u)),
+        };
+        let moving = user.iter().copied().filter(move |&i| ps.side(i) != to);
+        few.iter().copied().chain(moving)
+    }
+
+    /// `true` if part `p` is one of the moving parts.
+    fn contains(&self, ps: &PartSystem, p: usize, to: Side) -> bool {
+        match self {
+            Batch::Parts { ids, len } => ids[..*len].contains(&p),
+            Batch::User(u) => ps.parts()[p].user == *u && ps.side(p) != to,
+        }
+    }
 }
 
 impl ObjectiveState {
@@ -145,6 +205,7 @@ impl ObjectiveState {
             tv,
             rw_user,
             offloaders,
+            moved: Vec::new(),
         }
     }
 
@@ -217,33 +278,35 @@ impl ObjectiveState {
         p.pinned_cut + p.pinned_crossings as f64 * self.params.control_overhead
     }
 
-    /// Transmission-volume change if every part in `targets` (all
+    /// Transmission-volume change if every part in `batch` (all
     /// currently on the opposite side) moves to `to`.
-    fn batch_tx_delta(&self, ps: &PartSystem, targets: &[usize], to: Side) -> f64 {
+    fn batch_tx_delta(&self, ps: &PartSystem, batch: &Batch, to: Side) -> f64 {
         let oh = self.params.control_overhead;
         let mut delta = 0.0;
         // pinned edges cross exactly when the part is remote
-        for &i in targets {
+        for i in batch.iter(ps, to) {
             match to {
                 Side::Local => delta -= self.pin_term(ps, i),
                 Side::Remote => delta += self.pin_term(ps, i),
             }
         }
         // sibling cross edges: recompute the crossing indicator for
-        // every touched component (each at most once)
-        let mut seen_comp = Vec::with_capacity(targets.len());
-        for &i in targets {
+        // every touched component, each once (a batch's components
+        // come in non-decreasing order)
+        let mut last_comp = usize::MAX;
+        for i in batch.iter(ps, to) {
             let c = ps.parts()[i].component;
-            if seen_comp.contains(&c) {
+            if c == last_comp {
                 continue;
             }
-            seen_comp.push(c);
+            debug_assert!(last_comp == usize::MAX || c > last_comp);
+            last_comp = c;
             let comp = &ps.components()[c];
             let Some(p2) = comp.part2 else { continue };
             let p1 = comp.part1;
             let before = ps.side(p1) != ps.side(p2);
             let side_after = |p: usize| {
-                if targets.contains(&p) {
+                if batch.contains(ps, p, to) {
                     to
                 } else {
                     ps.side(p)
@@ -258,29 +321,48 @@ impl ObjectiveState {
         delta
     }
 
-    /// Objective change if `targets` (parts of user `u`, all currently
-    /// on the opposite side) relocate to `to`. Negative = improvement.
-    fn batch_delta(&self, ps: &PartSystem, u: usize, targets: &[usize], to: Side) -> f64 {
-        debug_assert!(targets.iter().all(|&i| ps.parts()[i].user == u));
-        debug_assert!(targets.iter().all(|&i| ps.side(i) != to));
-        let w: f64 = targets.iter().map(|&i| ps.parts()[i].work).sum();
-        let (lw2, rw2, user_rw2) = match to {
-            Side::Local => (self.lw + w, self.rw - w, self.rw_user[u] - w),
-            Side::Remote => (self.lw - w, self.rw + w, self.rw_user[u] + w),
+    /// The offloader-count change `δ ∈ {−1, 0, +1}` when user `u`'s
+    /// remote work becomes `user_rw2`.
+    fn offloader_step(&self, u: usize, user_rw2: f64) -> isize {
+        match (self.rw_user[u] > EPS, user_rw2 > EPS) {
+            (true, false) => -1,
+            (false, true) => 1,
+            _ => 0,
+        }
+    }
+
+    /// Moved work, transmission-volume change and the user's new remote
+    /// work if `batch` (parts of user `u`) relocates to `to`.
+    fn batch_terms(&self, ps: &PartSystem, u: usize, batch: &Batch, to: Side) -> (f64, f64, f64) {
+        debug_assert!(batch.iter(ps, to).all(|i| ps.parts()[i].user == u));
+        debug_assert!(batch.iter(ps, to).all(|i| ps.side(i) != to));
+        let w: f64 = batch.iter(ps, to).map(|i| ps.parts()[i].work).sum();
+        let user_rw2 = match to {
+            Side::Local => self.rw_user[u] - w,
+            Side::Remote => self.rw_user[u] + w,
         };
-        let tv2 = self.tv + self.batch_tx_delta(ps, targets, to);
-        let offloaders2 = match (self.rw_user[u] > EPS, user_rw2 > EPS) {
-            (true, false) => self.offloaders - 1,
-            (false, true) => self.offloaders + 1,
-            _ => self.offloaders,
+        (w, self.batch_tx_delta(ps, batch, to), user_rw2)
+    }
+
+    /// Objective change if `batch` (parts of user `u`, all currently
+    /// on the opposite side) relocates to `to`. Negative = improvement.
+    fn batch_delta(&self, ps: &PartSystem, u: usize, batch: &Batch, to: Side) -> f64 {
+        let (w, dtv, user_rw2) = self.batch_terms(ps, u, batch, to);
+        let (lw2, rw2) = match to {
+            Side::Local => (self.lw + w, self.rw - w),
+            Side::Remote => (self.lw - w, self.rw + w),
         };
+        let tv2 = self.tv + dtv;
+        let offloaders2 = self
+            .offloaders
+            .wrapping_add_signed(self.offloader_step(u, user_rw2));
         self.objective_for(lw2, rw2, tv2, offloaders2, Some((u, user_rw2))) - self.objective()
     }
 
     /// Commits a batch relocation.
-    fn apply_batch(&mut self, ps: &mut PartSystem, u: usize, targets: &[usize], to: Side) {
-        let w: f64 = targets.iter().map(|&i| ps.parts()[i].work).sum();
-        self.tv += self.batch_tx_delta(ps, targets, to);
+    fn apply_batch(&mut self, ps: &mut PartSystem, u: usize, batch: Batch, to: Side) {
+        let (w, dtv, user_rw2) = self.batch_terms(ps, u, &batch, to);
+        self.tv += dtv;
         match to {
             Side::Local => {
                 self.lw += w;
@@ -291,37 +373,42 @@ impl ObjectiveState {
                 self.rw += w;
             }
         }
-        let before = self.rw_user[u];
-        self.rw_user[u] += match to {
-            Side::Local => -w,
-            Side::Remote => w,
-        };
-        match (before > EPS, self.rw_user[u] > EPS) {
-            (true, false) => self.offloaders -= 1,
-            (false, true) => self.offloaders += 1,
-            _ => {}
+        self.offloaders = self
+            .offloaders
+            .wrapping_add_signed(self.offloader_step(u, user_rw2));
+        self.rw_user[u] = user_rw2;
+        match batch {
+            Batch::Parts { ids, len } => {
+                for &i in &ids[..len] {
+                    ps.set_side(i, to);
+                }
+            }
+            Batch::User(_) => {
+                for k in 0..ps.parts_of_user(u).len() {
+                    let i = ps.parts_of_user(u)[k];
+                    ps.set_side(i, to);
+                }
+            }
         }
-        for &i in targets {
-            ps.set_side(i, to);
-        }
+        self.moved.push(u);
     }
 
     /// Resolves a relocation move into `(user, parts, destination)`;
     /// `None` when currently invalid (wrong sides, missing sibling,
     /// nothing to do).
-    fn resolve(&self, ps: &PartSystem, mv: Move) -> Option<(usize, Vec<usize>, Side)> {
+    fn resolve(&self, ps: &PartSystem, mv: Move) -> Option<(usize, Batch, Side)> {
         let (target, to) = match mv {
             Move::Home(t) => (t, Side::Local),
             Move::Out(t) => (t, Side::Remote),
             Move::Swap(_) => unreachable!("swaps are priced separately"),
         };
         let from = to.flipped();
-        let (user, parts) = match target {
+        let (user, batch) = match target {
             Target::Single(i) => {
                 if ps.side(i) != from {
                     return None;
                 }
-                (ps.parts()[i].user, vec![i])
+                (ps.parts()[i].user, Batch::one(i))
             }
             Target::Pair(c) => {
                 let comp = &ps.components()[c];
@@ -330,22 +417,21 @@ impl ObjectiveState {
                 if ps.side(p1) != from || ps.side(p2) != from {
                     return None;
                 }
-                (comp.user, vec![p1, p2])
+                (comp.user, Batch::pair(p1, p2))
             }
             Target::User(u) => {
-                let parts: Vec<usize> = ps
+                let moving = ps
                     .parts_of_user(u)
                     .iter()
-                    .copied()
-                    .filter(|&i| ps.side(i) == from)
-                    .collect();
-                if parts.len() < 2 {
+                    .filter(|&&i| ps.side(i) == from)
+                    .count();
+                if moving < 2 {
                     return None; // single moves cover this
                 }
-                (u, parts)
+                (u, Batch::User(u))
             }
         };
-        Some((user, parts, to))
+        Some((user, batch, to))
     }
 
     /// Gain (= −Δobjective) of a candidate, `None` when invalid.
@@ -353,8 +439,8 @@ impl ObjectiveState {
         match mv {
             Move::Swap(c) => self.swap_delta(ps, c).map(|(_, _, d)| -d),
             _ => {
-                let (u, parts, to) = self.resolve(ps, mv)?;
-                Some(-self.batch_delta(ps, u, &parts, to))
+                let (u, batch, to) = self.resolve(ps, mv)?;
+                Some(-self.batch_delta(ps, u, &batch, to))
             }
         }
     }
@@ -366,16 +452,30 @@ impl ObjectiveState {
                 let (to_remote, to_local, _) =
                     self.swap_delta(ps, c).expect("swap validated before apply");
                 let u = ps.parts()[to_remote].user;
-                self.apply_batch(ps, u, &[to_local], Side::Local);
-                self.apply_batch(ps, u, &[to_remote], Side::Remote);
+                self.apply_batch(ps, u, Batch::one(to_local), Side::Local);
+                self.apply_batch(ps, u, Batch::one(to_remote), Side::Remote);
                 2
             }
             _ => {
-                let (u, parts, to) = self.resolve(ps, mv).expect("move validated before apply");
-                let n = parts.len();
-                self.apply_batch(ps, u, &parts, to);
+                let (u, batch, to) = self.resolve(ps, mv).expect("move validated before apply");
+                let n = batch.iter(ps, to).count();
+                self.apply_batch(ps, u, batch, to);
                 n
             }
+        }
+    }
+
+    /// The halves of split component `c` a swap would move:
+    /// `(to_remote, to_local)`; `None` unless the component currently
+    /// has exactly one local and one remote half.
+    fn swap_parts(ps: &PartSystem, c: usize) -> Option<(usize, usize)> {
+        let comp = &ps.components()[c];
+        let p2 = comp.part2?;
+        let p1 = comp.part1;
+        match (ps.side(p1), ps.side(p2)) {
+            (Side::Local, Side::Remote) => Some((p1, p2)),
+            (Side::Remote, Side::Local) => Some((p2, p1)),
+            _ => None,
         }
     }
 
@@ -383,30 +483,54 @@ impl ObjectiveState {
     /// local. Returns `(to_remote, to_local, delta)`; `None` unless the
     /// component currently has exactly one local and one remote half.
     fn swap_delta(&self, ps: &PartSystem, c: usize) -> Option<(usize, usize, f64)> {
-        let comp = &ps.components()[c];
-        let p2 = comp.part2?;
-        let p1 = comp.part1;
-        let (to_remote, to_local) = match (ps.side(p1), ps.side(p2)) {
-            (Side::Local, Side::Remote) => (p1, p2),
-            (Side::Remote, Side::Local) => (p2, p1),
-            _ => return None,
-        };
+        let (to_remote, to_local) = Self::swap_parts(ps, c)?;
         let (wl, wr) = (ps.parts()[to_remote].work, ps.parts()[to_local].work);
-        let u = comp.user;
+        let u = ps.components()[c].user;
         // newly-remote half starts paying its pinned coupling, the
         // newly-local one stops; the cross edges keep crossing.
         let tv2 = self.tv + self.pin_term(ps, to_remote) - self.pin_term(ps, to_local);
         let lw2 = self.lw - wl + wr;
         let rw2 = self.rw + wl - wr;
         let user_rw2 = self.rw_user[u] + wl - wr;
-        let offloaders2 = match (self.rw_user[u] > EPS, user_rw2 > EPS) {
-            (true, false) => self.offloaders - 1,
-            (false, true) => self.offloaders + 1,
-            _ => self.offloaders,
-        };
+        let offloaders2 = self
+            .offloaders
+            .wrapping_add_signed(self.offloader_step(u, user_rw2));
         let delta =
             self.objective_for(lw2, rw2, tv2, offloaders2, Some((u, user_rw2))) - self.objective();
         Some((to_remote, to_local, delta))
+    }
+
+    /// The candidate as a line in the shared load parameter: under
+    /// `EqualShare` and `ProportionalToLoad` its exact gain is
+    /// `α − β·(k+δ)/C − δ·rw/C` with `α = a·β − b·Δtv`, and `β`, `Δtv`
+    /// and `δ` are computed here exactly as [`gain_of`](Self::gain_of)
+    /// computes them. `None` when the move is invalid.
+    fn line_of(&self, ps: &PartSystem, mv: Move) -> Option<certificate::Line> {
+        match mv {
+            Move::Swap(c) => {
+                let (to_remote, to_local) = Self::swap_parts(ps, c)?;
+                let (wl, wr) = (ps.parts()[to_remote].work, ps.parts()[to_local].work);
+                let u = ps.components()[c].user;
+                let user_rw2 = self.rw_user[u] + wl - wr;
+                Some(certificate::Line {
+                    beta: wl - wr,
+                    dtv: self.pin_term(ps, to_remote) - self.pin_term(ps, to_local),
+                    delta: self.offloader_step(u, user_rw2),
+                })
+            }
+            _ => {
+                let (u, batch, to) = self.resolve(ps, mv)?;
+                let (w, dtv, user_rw2) = self.batch_terms(ps, u, &batch, to);
+                Some(certificate::Line {
+                    beta: match to {
+                        Side::Local => -w,
+                        Side::Remote => w,
+                    },
+                    dtv,
+                    delta: self.offloader_step(u, user_rw2),
+                })
+            }
+        }
     }
 }
 
@@ -440,35 +564,38 @@ fn all_moves(ps: &PartSystem) -> Vec<Move> {
     moves
 }
 
-/// The candidates that directly involve the given users: their parts,
-/// components (pair moves and orientation swaps), and whole-user
-/// relocations. This is the warm-start seed set — the moves whose
-/// prices changed *structurally* after churn touched those users; the
-/// capacity-coupled re-pricing every other server-resident part sees
-/// is caught by the rescan phase that follows the seeded drain.
-fn moves_of_users(ps: &PartSystem, users: &[usize]) -> Vec<Move> {
-    let mut targets = Vec::new();
-    let mut swaps = Vec::new();
-    for &u in users {
-        if u >= ps.user_count() {
-            continue;
+/// Every candidate that involves user `u` alone: both directions for
+/// each part, each component pair and the whole user, plus each
+/// component's orientation swap. Invalid candidates are included;
+/// pricing skips them.
+fn for_each_move_of_user(ps: &PartSystem, u: usize, mut f: impl FnMut(Move)) {
+    let mut last_comp = usize::MAX;
+    for &i in ps.parts_of_user(u) {
+        f(Move::Home(Target::Single(i)));
+        f(Move::Out(Target::Single(i)));
+        let c = ps.parts()[i].component;
+        if c != last_comp {
+            f(Move::Home(Target::Pair(c)));
+            f(Move::Out(Target::Pair(c)));
+            f(Move::Swap(c));
+            last_comp = c;
         }
-        let mut last_comp = usize::MAX;
-        for &i in ps.parts_of_user(u) {
-            targets.push(Target::Single(i));
-            let c = ps.parts()[i].component;
-            if c != last_comp {
-                targets.push(Target::Pair(c));
-                swaps.push(c);
-                last_comp = c;
-            }
-        }
-        targets.push(Target::User(u));
     }
-    let mut moves: Vec<Move> = Vec::with_capacity(2 * targets.len() + swaps.len());
-    moves.extend(targets.iter().map(|&t| Move::Home(t)));
-    moves.extend(targets.iter().map(|&t| Move::Out(t)));
-    moves.extend(swaps.into_iter().map(Move::Swap));
+    f(Move::Home(Target::User(u)));
+    f(Move::Out(Target::User(u)));
+}
+
+/// The candidates that directly involve the given users. This is the
+/// warm-start seed set — the moves whose prices changed
+/// *structurally* after churn touched those users; the
+/// capacity-coupled re-pricing every other server-resident part sees
+/// is settled by the convergence certificate or the rescan phase that
+/// follows the seeded drain.
+fn moves_of_users(ps: &PartSystem, users: &[usize]) -> Vec<Move> {
+    let mut moves = Vec::new();
+    for &u in users.iter().filter(|&&u| u < ps.user_count()) {
+        for_each_move_of_user(ps, u, |mv| moves.push(mv));
+    }
     moves
 }
 
@@ -508,25 +635,42 @@ pub(crate) fn run_greedy_traced(
     mode: GreedyMode,
     sink: &dyn TraceSink,
 ) -> GreedyOutcome {
-    run_greedy_seeded(ps, params, mode, sink, None)
+    run_greedy_seeded(ps, params, mode, sink, None).outcome
+}
+
+/// What a warm-started search did besides its [`GreedyOutcome`].
+pub(crate) struct WarmSearch {
+    pub(crate) outcome: GreedyOutcome,
+    /// User slots whose parts moved, in move order (may repeat).
+    pub(crate) moved: Vec<usize>,
 }
 
 /// Warm-started greedy for delta replans: `ps` already carries a
 /// previously converged placement plus the churned users' fresh
 /// initial splits. A seeded phase drains only the candidates that
-/// involve `dirty_users` (the structurally re-priced moves), then the
-/// standard rescan phases run to the same convergence criterion as a
-/// from-scratch search — one cheap full rescan confirms no
-/// capacity-coupled candidate still improves, so the result is a local
-/// optimum of the *same* neighbourhood the full path searches.
+/// involve `dirty_users` (the structurally re-priced moves). Then
+/// convergence has to be shown for every candidate of the crowd:
+///
+/// - with an `index` (lazy driver, `EqualShare` or
+///   `ProportionalToLoad`), the [`MoveIndex`] certificate shows it at
+///   a cost that grows with churn — it re-prices only the touched
+///   users' candidates and the blocks whose bound comes near `EPS`;
+/// - otherwise, or when the certificate finds an improving candidate,
+///   the standard rescan phases run to the same criterion as a
+///   from-scratch search.
+///
+/// A certificate passes only if a rescan would find no candidate with
+/// gain above `EPS`, so plans, objectives and move counts equal those
+/// of the rescan-only path bit for bit.
 pub(crate) fn run_greedy_warm(
     ps: &mut PartSystem,
     params: &SystemParams,
     mode: GreedyMode,
     sink: &dyn TraceSink,
     dirty_users: &[usize],
-) -> GreedyOutcome {
-    run_greedy_seeded(ps, params, mode, sink, Some(dirty_users))
+    index: Option<&mut MoveIndex>,
+) -> WarmSearch {
+    run_greedy_seeded(ps, params, mode, sink, Some((dirty_users, index)))
 }
 
 /// Lazily drains a max-heap of candidates: pop, re-price, repush when
@@ -576,8 +720,8 @@ fn run_greedy_seeded(
     params: &SystemParams,
     mode: GreedyMode,
     sink: &dyn TraceSink,
-    dirty_users: Option<&[usize]>,
-) -> GreedyOutcome {
+    warm: Option<(&[usize], Option<&mut MoveIndex>)>,
+) -> WarmSearch {
     let traced = sink.enabled();
     let mut state = ObjectiveState::new(ps, params);
     let initial = state.objective();
@@ -586,36 +730,59 @@ fn run_greedy_seeded(
     // strict cap against pathological float drift; never reached in
     // practice (each applied move improves the objective by > EPS)
     let move_cap = 20 * (ps.parts().len() + ps.user_count() + 4);
+    let (dirty, mut index) = warm.unwrap_or((&[], None));
 
     // Warm phase: settle the churned users' own candidates first, so
-    // the rescan phase below usually confirms convergence in one pass
-    // instead of driving the search. (Exhaustive mode re-scans every
-    // candidate per iteration anyway, so seeding buys it nothing.)
-    if let Some(dirty) = dirty_users {
-        if mode == GreedyMode::Lazy && !dirty.is_empty() {
-            let mut heap: BinaryHeap<(Gain, Move)> = BinaryHeap::new();
-            for mv in moves_of_users(ps, dirty) {
-                if let Some(g) = state.gain_of(ps, mv) {
-                    evaluations += 1;
-                    if g > EPS {
-                        heap.push((Gain(g), mv));
-                    }
+    // that convergence usually holds already and only has to be
+    // shown. (Exhaustive mode re-scans every candidate per iteration
+    // anyway, so seeding buys it nothing.)
+    if mode == GreedyMode::Lazy && !dirty.is_empty() {
+        let mut heap: BinaryHeap<(Gain, Move)> = BinaryHeap::new();
+        for mv in moves_of_users(ps, dirty) {
+            if let Some(g) = state.gain_of(ps, mv) {
+                evaluations += 1;
+                if g > EPS {
+                    heap.push((Gain(g), mv));
                 }
             }
-            drain_heap(
-                &mut heap,
-                &mut state,
-                ps,
-                &mut moves,
-                &mut evaluations,
-                move_cap,
-                traced,
-                sink,
+        }
+        drain_heap(
+            &mut heap,
+            &mut state,
+            ps,
+            &mut moves,
+            &mut evaluations,
+            move_cap,
+            traced,
+            sink,
+        );
+    }
+
+    // Convergence certificate: when it holds, the first rescan phase
+    // below would find no candidate above EPS and stop at once.
+    let mut certified = false;
+    if let Some(index) = index.as_deref_mut() {
+        debug_assert!(mode == GreedyMode::Lazy && MoveIndex::supports(params));
+        index.touch(dirty);
+        index.touch(&state.moved);
+        let cert = index.certify(&state, ps);
+        evaluations += cert.evaluations;
+        sink.counter_add("greedy.certified", u64::from(cert.holds));
+        sink.counter_add("greedy.certificate_fallbacks", u64::from(!cert.holds));
+        sink.counter_add("greedy.block_reprices", cert.block_reprices as u64);
+        if cert.holds {
+            debug_assert!(
+                all_moves(ps)
+                    .into_iter()
+                    .all(|mv| state.gain_of(ps, mv).is_none_or(|g| g <= EPS)),
+                "certified placement has an improving candidate"
             );
         }
+        certified = cert.holds;
     }
 
     match mode {
+        _ if certified => {}
         GreedyMode::Exhaustive => {
             while moves < move_cap {
                 let mut best: Option<(Move, f64)> = None;
@@ -683,17 +850,23 @@ fn run_greedy_seeded(
     let all_local = state.objective_for(total_work, 0.0, 0.0, 0, None);
     if all_local + EPS < state.objective() {
         for u in 0..ps.user_count() {
-            let remote: Vec<usize> = ps
+            let remote = ps
                 .parts_of_user(u)
                 .iter()
-                .copied()
-                .filter(|&i| ps.side(i) == Side::Remote)
-                .collect();
-            if !remote.is_empty() {
-                state.apply_batch(ps, u, &remote, Side::Local);
-                moves += remote.len();
+                .filter(|&&i| ps.side(i) == Side::Remote)
+                .count();
+            if remote > 0 {
+                state.apply_batch(ps, u, Batch::User(u), Side::Local);
+                moves += remote;
             }
         }
+    }
+
+    // every user moved in this search holds an incrementally updated
+    // remote-work sum; its lines are re-derived from the next
+    // replan's fresh sums
+    if let Some(index) = index {
+        index.touch(&state.moved);
     }
 
     let final_objective = state.objective();
@@ -715,11 +888,14 @@ fn run_greedy_seeded(
         );
     }
 
-    GreedyOutcome {
-        moves,
-        initial_objective: initial,
-        final_objective,
-        evaluations,
+    WarmSearch {
+        outcome: GreedyOutcome {
+            moves,
+            initial_objective: initial,
+            final_objective,
+            evaluations,
+        },
+        moved: state.moved,
     }
 }
 
@@ -735,22 +911,28 @@ mod tests {
         SystemParams::default()
     }
 
-    fn build_ps(graphs: &[mec_graph::Graph]) -> PartSystem {
+    /// A compressed, cut user ready for `PartSystem::add_user`.
+    fn prepared(g: &mec_graph::Graph) -> (mec_labelprop::CompressionOutcome, Vec<Bipartition>) {
         let compressor =
             Compressor::new(CompressionConfig::new().threshold(ThresholdRule::MeanFactor(1.5)));
+        let outcome = compressor.compress(g);
+        let cuts = outcome
+            .components
+            .iter()
+            .map(|c| {
+                mec_spectral::SpectralBisector::new()
+                    .bisect(c.quotient.graph())
+                    .expect("non-empty component")
+                    .partition
+            })
+            .collect();
+        (outcome, cuts)
+    }
+
+    fn build_ps(graphs: &[mec_graph::Graph]) -> PartSystem {
         let mut ps = PartSystem::new();
         for g in graphs {
-            let outcome = compressor.compress(g);
-            let cuts: Vec<Bipartition> = outcome
-                .components
-                .iter()
-                .map(|c| {
-                    mec_spectral::SpectralBisector::new()
-                        .bisect(c.quotient.graph())
-                        .expect("non-empty component")
-                        .partition
-                })
-                .collect();
+            let (outcome, cuts) = prepared(g);
             ps.add_user(g, &outcome, &cuts);
         }
         ps
@@ -787,8 +969,8 @@ mod tests {
             let to = ps.side(i).flipped();
             let u = ps.parts()[i].user;
             let before = state.objective();
-            let predicted = state.batch_delta(&ps, u, &[i], to);
-            state.apply_batch(&mut ps, u, &[i], to);
+            let predicted = state.batch_delta(&ps, u, &Batch::one(i), to);
+            state.apply_batch(&mut ps, u, Batch::one(i), to);
             let after = state.objective();
             assert!(
                 (after - before - predicted).abs() < 1e-9,
@@ -810,8 +992,8 @@ mod tests {
             };
             let before = state.objective();
             let u = ps.parts()[to_remote].user;
-            state.apply_batch(&mut ps, u, &[to_local], Side::Local);
-            state.apply_batch(&mut ps, u, &[to_remote], Side::Remote);
+            state.apply_batch(&mut ps, u, Batch::one(to_local), Side::Local);
+            state.apply_batch(&mut ps, u, Batch::one(to_remote), Side::Remote);
             assert!(
                 (state.objective() - before - predicted).abs() < 1e-9,
                 "component {c}"
@@ -956,8 +1138,8 @@ mod tests {
             }
             let u = ps.parts()[i].user;
             let before = state.objective();
-            let predicted = state.batch_delta(&ps, u, &[i], to);
-            state.apply_batch(&mut ps, u, &[i], to);
+            let predicted = state.batch_delta(&ps, u, &Batch::one(i), to);
+            state.apply_batch(&mut ps, u, Batch::one(i), to);
             assert!((state.objective() - before - predicted).abs() < 1e-9);
         }
     }
@@ -971,9 +1153,16 @@ mod tests {
         let p = params();
         run_greedy(&mut ps, &p, GreedyMode::Lazy);
         let plan_before = ps.plan();
-        let out = super::run_greedy_warm(&mut ps, &p, GreedyMode::Lazy, &mec_obs::NullSink, &[]);
-        assert_eq!(out.moves, 0, "a converged placement has no improving move");
+        let mut index = MoveIndex::new(ps.user_count());
+        let sink = mec_obs::Recorder::new();
+        let out =
+            super::run_greedy_warm(&mut ps, &p, GreedyMode::Lazy, &sink, &[], Some(&mut index));
+        assert_eq!(
+            out.outcome.moves, 0,
+            "a converged placement has no improving move"
+        );
         assert_eq!(ps.plan(), plan_before);
+        assert_eq!(sink.counter_value("greedy.certified"), 1);
     }
 
     #[test]
@@ -1001,23 +1190,18 @@ mod tests {
                 .seed(seed * 100 + 9)
                 .generate()
                 .unwrap();
-            let compressor =
-                Compressor::new(CompressionConfig::new().threshold(ThresholdRule::MeanFactor(1.5)));
-            let outcome = compressor.compress(&newcomer);
-            let cuts: Vec<Bipartition> = outcome
-                .components
-                .iter()
-                .map(|c| {
-                    mec_spectral::SpectralBisector::new()
-                        .bisect(c.quotient.graph())
-                        .expect("non-empty component")
-                        .partition
-                })
-                .collect();
+            let (outcome, cuts) = prepared(&newcomer);
             ps.add_user(&newcomer, &outcome, &cuts);
             let dirty = [ps.user_count() - 1];
-            let warm =
-                super::run_greedy_warm(&mut ps, &p, GreedyMode::Lazy, &mec_obs::NullSink, &dirty);
+            let warm = super::run_greedy_warm(
+                &mut ps,
+                &p,
+                GreedyMode::Lazy,
+                &mec_obs::NullSink,
+                &dirty,
+                None,
+            )
+            .outcome;
 
             let mut crowd: Vec<_> = graphs;
             crowd.remove(2);
@@ -1032,6 +1216,82 @@ mod tests {
                 full.final_objective
             );
         }
+    }
+
+    #[test]
+    fn a_passing_certificate_leaves_no_improving_candidate() {
+        // a contended crowd, so departures re-price the survivors: the
+        // certificate must fall back whenever they open an improving
+        // move, and may pass only when an exact scan finds none
+        let p = SystemParams {
+            server_capacity: 400.0,
+            ..params()
+        };
+        let graphs: Vec<_> = (0..24)
+            .map(|i| NetgenSpec::new(40, 110).seed(60 + i).generate().unwrap())
+            .collect();
+        let mut ps = build_ps(&graphs);
+        run_greedy(&mut ps, &p, GreedyMode::Lazy);
+        let mut index = MoveIndex::new(ps.user_count());
+        let sink = mec_obs::Recorder::new();
+        let mut rng = 0x5eed_u64;
+        for step in 0..30 {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let pick = (rng >> 33) as usize;
+            let mut dirty = Vec::new();
+            if step % 3 == 0 || ps.user_count() < 8 {
+                let g = &graphs[pick % graphs.len()];
+                let (outcome, cuts) = prepared(g);
+                ps.add_user(g, &outcome, &cuts);
+                index.push();
+                dirty.push(ps.user_count() - 1);
+            } else {
+                // several departures at once move the load a lot
+                for _ in 0..(1 + pick % 3) {
+                    let u = (rng >> 17) as usize % ps.user_count();
+                    ps.remove_user(u);
+                    index.remove(u);
+                    rng = rng.rotate_left(7);
+                }
+            }
+            let mut reference = ps.clone();
+            let before = sink.counter_value("greedy.certified");
+            let warm = run_greedy_warm(
+                &mut ps,
+                &p,
+                GreedyMode::Lazy,
+                &sink,
+                &dirty,
+                Some(&mut index),
+            );
+            let rescan = run_greedy_warm(
+                &mut reference,
+                &p,
+                GreedyMode::Lazy,
+                &mec_obs::NullSink,
+                &dirty,
+                None,
+            );
+            assert_eq!(ps.plan(), reference.plan(), "step {step}");
+            assert_eq!(warm.outcome.moves, rescan.outcome.moves, "step {step}");
+            assert_eq!(
+                warm.outcome.final_objective.to_bits(),
+                rescan.outcome.final_objective.to_bits()
+            );
+            if sink.counter_value("greedy.certified") > before {
+                // the certificate ran after the seeded drain; nothing
+                // moved afterwards, so the final state is the one it
+                // certified
+                let state = ObjectiveState::new(&ps, &p);
+                for mv in all_moves(&ps) {
+                    if let Some(g) = state.gain_of(&ps, mv) {
+                        assert!(g <= EPS, "step {step}: certified, yet {mv:?} gains {g}");
+                    }
+                }
+            }
+        }
+        assert!(sink.counter_value("greedy.certified") > 0);
+        assert!(sink.counter_value("greedy.certificate_fallbacks") > 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::parts::PartSystem;
 use crate::strategy::{CutStrategy, StrategyKind};
 use crate::PipelineError;
 use mec_engine::Cluster;
-use mec_graph::{Bipartition, Graph};
+use mec_graph::Bipartition;
 use mec_labelprop::{CompressionConfig, CompressionStats, Compressor};
-use mec_model::{Evaluation, Scenario, SystemParams};
+use mec_model::{Evaluation, Scenario};
 use mec_obs::{span, TraceSink};
 use std::sync::Arc;
 use std::time::Duration;
@@ -117,49 +117,43 @@ impl OffloadReport {
 
     /// The one report assembly every solve and replan path shares:
     /// sums the crowd's cached front-end timings (in user order) next
-    /// to the greedy stage's, collects the per-user compression
-    /// statistics, and prices the converged placement against the
-    /// users' graphs.
-    pub(crate) fn assemble<'a, I>(
-        params: &SystemParams,
-        users: I,
-        parts: &PartSystem,
+    /// to the greedy stage's and collects the per-user compression
+    /// statistics (into `compression`, whose contents are replaced)
+    /// around the priced plan.
+    pub(crate) fn assemble<'a>(
+        users: impl ExactSizeIterator<Item = &'a FrontEnd>,
+        mut compression: Vec<CompressionStats>,
+        plan: Vec<Bipartition>,
+        evaluation: Evaluation,
         (greedy, greedy_time): (GreedyOutcome, Duration),
         strategy: &'static str,
-    ) -> Result<OffloadReport, PipelineError>
-    where
-        I: ExactSizeIterator<Item = (&'a Graph, &'a FrontEnd)> + Clone,
-    {
+    ) -> OffloadReport {
         let mut timings = StageTimings {
             greedy: greedy_time,
             ..StageTimings::default()
         };
-        let mut compression = Vec::with_capacity(users.len());
-        for (_, fe) in users.clone() {
+        compression.clear();
+        compression.reserve(users.len());
+        for fe in users {
             timings.compression += fe.compression;
             timings.cutting += fe.cutting;
             compression.push(fe.outcome.stats);
         }
-        let plan = parts.plan();
-        let evaluation = mec_model::evaluate_plan_for(params, users.map(|(g, _)| g), &plan)?;
-        Ok(OffloadReport {
+        OffloadReport {
             plan,
             evaluation,
             compression,
             greedy,
             timings,
             strategy,
-        })
+        }
     }
 }
 
 /// Runs one greedy stage under a `stage.greedy` span, records its
-/// `stage.greedy_nanos` sample, and returns the outcome with its wall
+/// `stage.greedy_nanos` sample, and returns the result with its wall
 /// time.
-pub(crate) fn timed_greedy(
-    sink: &dyn TraceSink,
-    greedy: impl FnOnce() -> GreedyOutcome,
-) -> (GreedyOutcome, Duration) {
+pub(crate) fn timed_greedy<T>(sink: &dyn TraceSink, greedy: impl FnOnce() -> T) -> (T, Duration) {
     let s = span(sink, "stage.greedy");
     let outcome = greedy();
     let elapsed = s.finish();
@@ -378,21 +372,23 @@ impl Offloader {
         prepared: Vec<FrontEnd>,
         sink: &dyn TraceSink,
     ) -> Result<OffloadReport, PipelineError> {
-        let users = scenario.users().iter().map(|u| u.graph()).zip(&prepared);
         let mut parts = PartSystem::new();
-        for (graph, fe) in users.clone() {
-            parts.add_user(graph, &fe.outcome, &fe.cuts);
+        for (user, fe) in scenario.users().iter().zip(&prepared) {
+            parts.add_user(user.graph(), &fe.outcome, &fe.cuts);
         }
         let greedy = timed_greedy(sink, || {
             run_greedy_traced(&mut parts, scenario.params(), self.greedy_mode, sink)
         });
-        OffloadReport::assemble(
-            scenario.params(),
-            users,
-            &parts,
+        let plan = parts.plan();
+        let evaluation = scenario.evaluate(&plan)?;
+        Ok(OffloadReport::assemble(
+            prepared.iter(),
+            Vec::new(),
+            plan,
+            evaluation,
             greedy,
             self.strategy.name(),
-        )
+        ))
     }
 }
 

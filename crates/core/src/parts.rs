@@ -465,19 +465,26 @@ impl PartSystem {
     /// Emits the per-user plan implied by the current part sides:
     /// pinned nodes local, part nodes on their part's side.
     pub fn plan(&self) -> Vec<Bipartition> {
-        let mut plans: Vec<Bipartition> = self
-            .node_counts
-            .iter()
-            .map(|&n| Bipartition::uniform(n, Side::Local))
-            .collect();
-        for p in &self.parts {
+        (0..self.user_count()).map(|u| self.plan_of(u)).collect()
+    }
+
+    /// User `u`'s row of [`plan`](Self::plan), built from that user's
+    /// parts alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of bounds.
+    pub fn plan_of(&self, u: usize) -> Bipartition {
+        let mut plan = Bipartition::uniform(self.node_counts[u], Side::Local);
+        for &i in &self.user_parts[u] {
+            let p = &self.parts[i];
             if p.side == Side::Remote {
                 for &n in &p.nodes {
-                    plans[p.user].assign(n, Side::Remote);
+                    plan.assign(n, Side::Remote);
                 }
             }
         }
-        plans
+        plan
     }
 }
 

@@ -1,9 +1,11 @@
 //! Sharded streaming service: one edge site, many sessions.
 //!
-//! A single [`OffloadSession`] replan walks its whole crowd at least
-//! once (pricing is `O(users)` even when the warm-started greedy
-//! applies `O(churn)` moves), so a cell tracking 10⁵–10⁶ users wants
-//! the crowd split. [`OffloadService`] hashes users across `K`
+//! A warm [`OffloadSession`] replan prices `O(churn)` candidates and
+//! re-prices only the touched users, but it still does `O(users)`
+//! scalar work: it re-derives the greedy's objective aggregates, runs
+//! the server-share pass over the cached cost rows and copies the plan
+//! into its report. A cell tracking 10⁵–10⁶ users therefore still
+//! wants the crowd split. [`OffloadService`] hashes users across `K`
 //! session shards, each with its own [`ExecCtx`]; a churn event dirties
 //! exactly one shard, and [`replan`](OffloadService::replan) re-solves
 //! **only the dirty shards**, reusing each clean shard's cached report.
@@ -361,7 +363,7 @@ impl OffloadService {
         let mut replanned = 0usize;
         for shard in &mut self.shards {
             if shard.dirty || shard.cached.is_none() {
-                shard.cached = Some(shard.session.replan()?);
+                shard.session.replan_into(&mut shard.cached)?;
                 shard.dirty = false;
                 replanned += 1;
             }

@@ -9,7 +9,11 @@
 //! event re-seats only the affected user's parts, and the next
 //! [`replan`](OffloadSession::replan) warm-starts the greedy search
 //! from the previous equilibrium instead of rebuilding the whole part
-//! system and searching from the initial split. When accumulated churn
+//! system and searching from the initial split. Convergence of the
+//! warm search is shown by a certificate whose cost grows with churn
+//! (see `greedy/certificate.rs`), and each slot's plan row and pass-1
+//! cost row are cached, so only the churned and moved users are
+//! re-planned and re-priced. When accumulated churn
 //! exceeds a configurable drift bound, the session rebuilds from
 //! scratch; with [`with_drift_limit(0.0)`](OffloadSession::with_drift_limit)
 //! every replan after churn does, and its plan is bit-identical to
@@ -17,15 +21,15 @@
 
 use crate::exec::ExecCtx;
 use crate::frontend::{prepare_users, FrontEnd};
-use crate::greedy::{run_greedy_traced, run_greedy_warm, GreedyMode};
+use crate::greedy::{run_greedy_traced, run_greedy_warm, GreedyMode, MoveIndex};
 use crate::offloader::timed_greedy;
 use crate::parts::PartSystem;
 use crate::strategy::{CutStrategy, StrategyKind};
 use crate::{OffloadReport, PipelineError};
 use mec_engine::Cluster;
-use mec_graph::Graph;
+use mec_graph::{Bipartition, Graph, Side};
 use mec_labelprop::{CompressionConfig, Compressor};
-use mec_model::SystemParams;
+use mec_model::{evaluate_rows, price_user, SystemParams, UserCost};
 use mec_obs::{FieldValue, TraceSink};
 use std::sync::Arc;
 
@@ -44,11 +48,32 @@ struct PreparedUser {
 /// Invariant: part-system user slot `i` is `OffloadSession::users[i]`
 /// at all times — joins append or replace in place, leaves remove
 /// order-preservingly — so delta plans and evaluations come out in the
-/// same user order the from-scratch path produces.
+/// same user order the from-scratch path produces. The index and the
+/// cached rows follow the same slots.
 struct DeltaState {
     ps: PartSystem,
     /// User slots churned since the last replan (unsorted, may repeat).
     dirty: Vec<usize>,
+    /// The warm search's convergence certificate; `None` where every
+    /// warm replan rescans (`Fifo`, the exhaustive driver).
+    index: Option<MoveIndex>,
+    /// Slot → its row of the last plan; a placeholder for dirty slots
+    /// until the next replan re-plans them.
+    plans: Vec<Bipartition>,
+    /// Slot → its pass-1 cost row ([`price_user`]) of that plan row.
+    rows: Vec<UserCost>,
+}
+
+impl DeltaState {
+    /// Re-plans and re-prices `slots` (and no other slot) from the
+    /// current placement.
+    fn reprice(&mut self, params: &SystemParams, users: &[PreparedUser], slots: &[usize]) {
+        for &u in slots {
+            let plan = self.ps.plan_of(u);
+            self.rows[u] = price_user(params, &users[u].graph, &plan);
+            self.plans[u] = plan;
+        }
+    }
 }
 
 /// A long-lived multi-user offloading session.
@@ -89,6 +114,9 @@ pub struct OffloadSession {
     churned: usize,
     /// The persisted converged placement, once a delta replan has run.
     delta: Option<DeltaState>,
+    /// Whether warm replans may use the convergence certificate
+    /// (always, outside the tests that compare against the rescan).
+    certificate: bool,
 }
 
 impl OffloadSession {
@@ -120,7 +148,16 @@ impl OffloadSession {
             drift_limit: 0.25,
             churned: 0,
             delta: None,
+            certificate: true,
         }
+    }
+
+    /// The rescan-only warm path: the reference the certified path
+    /// must match bit for bit.
+    #[cfg(test)]
+    pub(crate) fn without_certificate(mut self) -> Self {
+        self.certificate = false;
+        self
     }
 
     /// Sets the delta-replan drift bound: once more than
@@ -326,6 +363,11 @@ impl OffloadSession {
                         &prepared.frontend.cuts,
                     );
                     delta.dirty.push(self.users.len());
+                    if let Some(index) = delta.index.as_mut() {
+                        index.push();
+                    }
+                    delta.plans.push(Bipartition::uniform(0, Side::Local));
+                    delta.rows.push(UserCost::default());
                 }
                 self.users.push(prepared);
             }
@@ -339,6 +381,11 @@ impl OffloadSession {
         self.churned += 1;
         if let Some(delta) = self.delta.as_mut() {
             delta.ps.remove_user(i);
+            if let Some(index) = delta.index.as_mut() {
+                index.remove(i);
+            }
+            delta.plans.remove(i);
+            delta.rows.remove(i);
             delta.dirty.retain_mut(|d| {
                 if *d == i {
                     return false;
@@ -425,11 +472,26 @@ impl OffloadSession {
     /// The converged placement persists across calls and only the
     /// churned slots are re-settled; the first call, and any call after
     /// more than `drift_limit × crowd` churn events, rebuilds the part
-    /// system and runs the greedy search from the initial split. Only
-    /// the *placement* persists: the greedy objective bookkeeping is
-    /// re-derived from it in `O(crowd)` at warm entry, so repeated warm
-    /// replans cannot accumulate floating-point drift relative to a
-    /// rebuild.
+    /// system and runs the greedy search from the initial split
+    /// (counted as `session.rebuild_first` or `session.rebuild_drift`).
+    ///
+    /// A warm replan costs `O(churn)` candidate pricings: the seeded
+    /// search settles the churned users, and a convergence certificate
+    /// over per-block line envelopes replaces the full rescan; only
+    /// when it finds an improving candidate does the rescan run. The
+    /// plan and pricing are cached per slot and recomputed only for
+    /// the churned users and the users the search moved; the report's
+    /// evaluation is bit-identical to
+    /// [`evaluate_plan_for`](mec_model::evaluate_plan_for) on the whole
+    /// plan. What stays `O(crowd)` is scalar: re-deriving the greedy
+    /// objective bookkeeping from the placement at warm entry (so
+    /// repeated warm replans cannot accumulate floating-point drift
+    /// relative to a rebuild), the server-share pass over the cached
+    /// cost rows, and copying the plan into the report (into the
+    /// previous report's buffers when an [`OffloadService`] shard
+    /// replans, so that copy allocates nothing).
+    ///
+    /// [`OffloadService`]: crate::OffloadService
     ///
     /// The report's `timings.compression` / `timings.cutting` are the
     /// *cached* per-user front-end times recorded at join time (summed
@@ -443,11 +505,26 @@ impl OffloadSession {
     /// [`PipelineError::Model`] if the session's system parameters are
     /// invalid.
     pub fn replan(&mut self) -> Result<OffloadReport, PipelineError> {
+        let mut report = None;
+        self.replan_into(&mut report)?;
+        Ok(report.expect("a successful replan stores its report"))
+    }
+
+    /// [`replan`](Self::replan) into `slot`, reusing the buffers of the
+    /// report it holds (one this session returned earlier): the cached
+    /// plan and cost rows are copied into them, so a steady-state
+    /// replan allocates nothing per user. On error `slot` is left as
+    /// it was.
+    pub(crate) fn replan_into(
+        &mut self,
+        slot: &mut Option<OffloadReport>,
+    ) -> Result<(), PipelineError> {
         // the replan-end-to-end distribution is the ROADMAP's SLO
         // metric: p99 over session.replan_nanos is what a streaming
         // service would alert on — the scope records it (and flushes)
         // on every exit, error returns included
         let scope = self.ctx.scope("session.replan", "session.replan_nanos");
+        self.params.validate()?;
         let drift_cap = (self.drift_limit * self.users.len().max(1) as f64).floor() as usize;
         let sink = self.ctx.sink().as_ref();
         let greedy = match self.delta.as_mut() {
@@ -456,12 +533,28 @@ impl OffloadSession {
                 let mut dirty = std::mem::take(&mut delta.dirty);
                 dirty.sort_unstable();
                 dirty.dedup();
-                timed_greedy(sink, || {
-                    run_greedy_warm(&mut delta.ps, &self.params, self.greedy_mode, sink, &dirty)
-                })
+                let (search, elapsed) = timed_greedy(sink, || {
+                    run_greedy_warm(
+                        &mut delta.ps,
+                        &self.params,
+                        self.greedy_mode,
+                        sink,
+                        &dirty,
+                        delta.index.as_mut(),
+                    )
+                });
+                let mut touched = dirty;
+                touched.extend(search.moved);
+                touched.sort_unstable();
+                touched.dedup();
+                delta.reprice(&self.params, &self.users, &touched);
+                (search.outcome, elapsed)
             }
             _ => {
                 sink.counter_add("session.replans_full", 1);
+                let first = self.delta.is_none();
+                sink.counter_add("session.rebuild_first", u64::from(first));
+                sink.counter_add("session.rebuild_drift", u64::from(!first));
                 let mut ps = PartSystem::new();
                 for u in &self.users {
                     ps.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
@@ -469,25 +562,56 @@ impl OffloadSession {
                 let greedy = timed_greedy(sink, || {
                     run_greedy_traced(&mut ps, &self.params, self.greedy_mode, sink)
                 });
+                let indexed = self.certificate
+                    && self.greedy_mode == GreedyMode::Lazy
+                    && MoveIndex::supports(&self.params);
+                let plans = ps.plan();
+                let rows = self
+                    .users
+                    .iter()
+                    .zip(&plans)
+                    .map(|(u, plan)| price_user(&self.params, &u.graph, plan))
+                    .collect();
                 self.delta = Some(DeltaState {
                     ps,
                     dirty: Vec::new(),
+                    index: indexed.then(|| MoveIndex::new(self.users.len())),
+                    plans,
+                    rows,
                 });
                 greedy
             }
         };
         self.churned = 0;
         let delta = self.delta.as_ref().expect("placement set above");
-        let report = OffloadReport::assemble(
-            &self.params,
-            self.users.iter().map(|u| (u.graph.as_ref(), &u.frontend)),
-            &delta.ps,
+        let (mut plan, mut rows, compression) = match slot.take() {
+            Some(r) => (r.plan, r.evaluation.per_user, r.compression),
+            None => Default::default(),
+        };
+        plan.clone_from(&delta.plans);
+        rows.clone_from(&delta.rows);
+        let evaluation = evaluate_rows(&self.params, rows);
+        debug_assert!(
+            delta.plans == delta.ps.plan()
+                && mec_model::evaluate_plan_for(
+                    &self.params,
+                    self.users.iter().map(|u| u.graph.as_ref()),
+                    &plan,
+                )
+                .is_ok_and(|oracle| oracle == evaluation),
+            "cached plan rows diverged from evaluate_plan_for"
+        );
+        *slot = Some(OffloadReport::assemble(
+            self.users.iter().map(|u| &u.frontend),
+            compression,
+            plan,
+            evaluation,
             greedy,
             self.strategy.name(),
-        )?;
+        ));
         sink.counter_add("session.replans", 1);
         scope.finish();
-        Ok(report)
+        Ok(())
     }
 }
 
@@ -698,6 +822,127 @@ mod tests {
         assert_eq!(
             after.evaluation.totals.objective().to_bits(),
             reference.evaluation.totals.objective().to_bits()
+        );
+    }
+
+    /// splitmix64 for seeded churn streams.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Plays one seeded churn stream (joins, leaves, resubmits, one or
+    /// two events per replan) into a certified session and a
+    /// rescan-only one, and requires every replan to agree bit for
+    /// bit: plan, evaluation, objective and move count. Returns how
+    /// many warm replans the certificate settled.
+    fn certified_matches_rescan(seed: u64, params: SystemParams, cluster: bool) -> u64 {
+        let sink = Arc::new(mec_obs::Recorder::new());
+        let mut certified =
+            OffloadSession::new(params).with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        let mut rescan = OffloadSession::new(params).without_certificate();
+        if cluster {
+            let pool = Arc::new(Cluster::new(2).unwrap());
+            certified = certified.with_cluster(Arc::clone(&pool));
+            rescan = rescan.with_cluster(pool);
+        }
+        let mut rng = seed;
+        let mut crowd: Vec<String> = Vec::new();
+        let mut next_user = 0u64;
+        for step in 0..40 {
+            let roll = next(&mut rng) % 10;
+            if crowd.len() < 4 || roll < 4 {
+                let name = format!("u{next_user}");
+                let g = Arc::new(
+                    NetgenSpec::new(30 + (next_user % 5) as usize * 8, 90)
+                        .seed(seed * 1000 + next_user)
+                        .generate()
+                        .unwrap(),
+                );
+                next_user += 1;
+                certified.join(name.clone(), Arc::clone(&g)).unwrap();
+                rescan.join(name.clone(), g).unwrap();
+                crowd.push(name);
+            } else if roll < 7 {
+                let victim = crowd.remove((next(&mut rng) % crowd.len() as u64) as usize);
+                assert!(certified.leave(&victim));
+                assert!(rescan.leave(&victim));
+            } else {
+                let who = crowd[(next(&mut rng) % crowd.len() as u64) as usize].clone();
+                let g = graph(500 + next(&mut rng) % 32);
+                certified.join(who.clone(), Arc::clone(&g)).unwrap();
+                rescan.join(who, g).unwrap();
+            }
+            if step % 3 != 1 {
+                let a = certified.replan().unwrap();
+                let b = rescan.replan().unwrap();
+                let context = format!("seed {seed}, step {step}");
+                assert_eq!(a.plan, b.plan, "{context}: plan diverged");
+                assert_eq!(a.evaluation, b.evaluation, "{context}");
+                assert_eq!(
+                    a.evaluation.totals.objective().to_bits(),
+                    b.evaluation.totals.objective().to_bits(),
+                    "{context}: objective"
+                );
+                assert_eq!(a.greedy.moves, b.greedy.moves, "{context}: moves");
+                assert_eq!(
+                    a.greedy.final_objective.to_bits(),
+                    b.greedy.final_objective.to_bits(),
+                    "{context}"
+                );
+            }
+        }
+        sink.counter_value("greedy.certified")
+    }
+
+    #[test]
+    fn certified_warm_replans_match_the_rescan_only_path() {
+        let mut certified = 0;
+        for seed in [1u64, 8, 23] {
+            certified += certified_matches_rescan(seed, SystemParams::default(), false);
+        }
+        let contended = SystemParams {
+            server_capacity: 300.0,
+            allocation: mec_model::AllocationPolicy::ProportionalToLoad,
+            ..SystemParams::default()
+        };
+        certified += certified_matches_rescan(5, contended, false);
+        assert!(certified > 0, "no warm replan used the certificate");
+    }
+
+    #[test]
+    fn certified_warm_replans_match_the_rescan_only_path_on_the_cluster() {
+        assert!(certified_matches_rescan(13, SystemParams::default(), true) > 0);
+    }
+
+    #[test]
+    fn rebuild_causes_are_counted() {
+        let sink = Arc::new(mec_obs::Recorder::new());
+        let mut session = OffloadSession::new(SystemParams::default())
+            .with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        for i in 0..8u64 {
+            session.join(format!("u{i}"), graph(60 + i)).unwrap();
+        }
+        session.replan().unwrap();
+        // one event on seven users: inside the default 0.25 drift
+        session.leave("u0");
+        session.replan().unwrap();
+        // three events on ten users: a drift rebuild
+        for i in 10..13u64 {
+            session.join(format!("u{i}"), graph(60 + i)).unwrap();
+        }
+        session.replan().unwrap();
+        assert_eq!(sink.counter_value("session.rebuild_first"), 1);
+        assert_eq!(sink.counter_value("session.rebuild_drift"), 1);
+        assert_eq!(sink.counter_value("session.replans_full"), 2);
+        assert_eq!(sink.counter_value("session.replans_delta"), 1);
+        assert_eq!(
+            sink.counter_value("greedy.certified")
+                + sink.counter_value("greedy.certificate_fallbacks"),
+            1
         );
     }
 

@@ -2,9 +2,11 @@
 //! the offloader must produce valid, priced, deterministic plans that
 //! never lose to the trivial baselines it can reach.
 
-use copmecs_core::{Offloader, StrategyKind};
+use copmecs_core::{OffloadSession, Offloader, StrategyKind};
 use mec_graph::Side;
-use mec_model::{AllocationPolicy, Scenario, SystemParams, UserWorkload};
+use mec_model::{
+    evaluate_plan_for, AllocationPolicy, Evaluation, Scenario, SystemParams, UserCost, UserWorkload,
+};
 use mec_netgen::NetgenSpec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -71,8 +73,76 @@ fn build(spec: &ScenarioSpec) -> Scenario {
     )
 }
 
+/// Every field of both evaluations, as bits.
+fn evaluation_bits(e: &Evaluation) -> Vec<u64> {
+    let row = |c: &UserCost| {
+        [
+            c.local_work,
+            c.remote_work,
+            c.tx_volume,
+            c.local_time,
+            c.remote_time,
+            c.wait_time,
+            c.tx_time,
+            c.local_energy,
+            c.tx_energy,
+        ]
+    };
+    let t = &e.totals;
+    e.per_user
+        .iter()
+        .flat_map(row)
+        .chain([
+            t.energy,
+            t.time,
+            t.local_energy,
+            t.tx_energy,
+            t.local_time,
+            t.remote_time,
+            t.tx_time,
+        ])
+        .map(f64::to_bits)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A session prices only the users a replan touched and re-runs the
+    /// server-share pass over its cached rows; across a leave, a rejoin
+    /// and a fresh join the report must equal `evaluate_plan_for` on
+    /// the whole plan, field by field and bit for bit.
+    #[test]
+    fn session_cached_rows_price_like_evaluate_plan_for(spec in arb_scenario()) {
+        let scenario = build(&spec);
+        let params = *scenario.params();
+        let mut session = OffloadSession::new(params);
+        let mut crowd: Vec<(String, Arc<mec_graph::Graph>)> = scenario
+            .users()
+            .iter()
+            .map(|u| (u.name().to_string(), u.graph_arc()))
+            .collect();
+        session.join_many(crowd.clone()).unwrap();
+        let check = |session: &mut OffloadSession, crowd: &[(String, Arc<mec_graph::Graph>)]| {
+            let report = session.replan().unwrap();
+            let oracle =
+                evaluate_plan_for(&params, crowd.iter().map(|(_, g)| g.as_ref()), &report.plan)
+                    .unwrap();
+            assert_eq!(evaluation_bits(&report.evaluation), evaluation_bits(&oracle));
+        };
+        check(&mut session, &crowd);
+        let (gone, g) = crowd.remove(0);
+        assert!(session.leave(&gone));
+        check(&mut session, &crowd);
+        if let Some((name, _)) = crowd.last().cloned() {
+            session.join(name, Arc::clone(&g)).unwrap();
+            crowd.last_mut().unwrap().1 = Arc::clone(&g);
+            check(&mut session, &crowd);
+        }
+        session.join(gone.clone(), Arc::clone(&g)).unwrap();
+        crowd.push((gone, g));
+        check(&mut session, &crowd);
+    }
 
     #[test]
     fn plans_are_always_valid_and_priced(spec in arb_scenario()) {

@@ -43,9 +43,23 @@ impl fmt::Display for Side {
 ///
 /// This is the common output type of all cut strategies (spectral,
 /// max-flow, Kernighan–Lin) and the common input of the MEC cost model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Bipartition {
     sides: Vec<Side>,
+}
+
+impl Clone for Bipartition {
+    fn clone(&self) -> Self {
+        Bipartition {
+            sides: self.sides.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffer, which allocates only when
+    /// `source` is longer than that buffer's capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.sides.clone_from(&source.sides);
+    }
 }
 
 impl Bipartition {

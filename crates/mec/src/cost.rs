@@ -6,7 +6,10 @@
 //! its live crowd directly — no intermediate
 //! [`Scenario`]/`UserWorkload` rebuild (and none of its name clones or
 //! `Arc` bumps) per replan. [`Scenario::evaluate`] is a thin wrapper
-//! over the same functions.
+//! over the same functions. Pricing is two passes, and each is public:
+//! [`price_user`] prices one user's cut on its own, [`evaluate_rows`]
+//! couples the rows through the shared server and sums them, so a
+//! session can keep the rows of users whose cut did not change.
 
 use crate::{AllocationPolicy, ModelError, Scenario, SystemParams};
 use mec_graph::{Bipartition, Graph, Side};
@@ -132,6 +135,11 @@ where
 /// re-iterable (`Clone`) because validation and pass 1 each walk it
 /// once.
 ///
+/// The two passes are public on their own: pass 1 is [`price_user`]
+/// per user, pass 2 and the totals are [`evaluate_rows`]. A caller that
+/// caches pass-1 rows and re-runs only pass 2 gets a bit-identical
+/// [`Evaluation`].
+///
 /// # Errors
 ///
 /// Any [`ModelError`] from [`validate_plan_for`].
@@ -146,57 +154,78 @@ where
 {
     let graphs = graphs.into_iter();
     validate_plan_for(params, graphs.clone(), plan)?;
-    let p = *params;
-    let n_users = graphs.len();
-
-    // pass 1: raw work and transmission quantities
-    let mut costs = vec![UserCost::default(); n_users];
-    for ((g, cut), cost) in graphs.zip(plan).zip(&mut costs) {
-        cost.local_work = cut.node_weight_on(g, Side::Local);
-        cost.remote_work = cut.node_weight_on(g, Side::Remote);
-        let mut volume = 0.0;
-        let mut crossings = 0usize;
-        for e in g.edges() {
-            if cut.side(e.source) != cut.side(e.target) {
-                volume += e.weight;
-                crossings += 1;
-            }
-        }
-        cost.tx_volume = volume + crossings as f64 * p.control_overhead;
-        cost.local_time = cost.local_work / p.local_capacity;
-        cost.local_energy = cost.local_time * p.local_power; // (3)
-        cost.tx_time = cost.tx_volume / p.bandwidth; // (5)
-        cost.tx_energy = cost.tx_time * p.tx_power; // (4)
-    }
-
-    // pass 2: server shares and waiting (formula (2))
-    let offloaders: Vec<usize> = (0..n_users)
-        .filter(|&i| costs[i].remote_work > 0.0)
+    let rows = graphs
+        .zip(plan)
+        .map(|(g, cut)| price_user(params, g, cut))
         .collect();
+    Ok(evaluate_rows(params, rows))
+}
+
+/// Pass 1 of [`evaluate_plan_for`] for one user: the raw work and
+/// transmission quantities of `cut` on `graph` and everything that
+/// depends only on them — formulas (1), (3), (4) and (5). The server
+/// terms (`remote_time`, `wait_time`) stay zero: they depend on the
+/// whole crowd and are filled in by [`evaluate_rows`].
+///
+/// The plan is not validated; `cut` must cover every node of `graph`.
+pub fn price_user(params: &SystemParams, graph: &Graph, cut: &Bipartition) -> UserCost {
+    let p = params;
+    let mut cost = UserCost {
+        local_work: cut.node_weight_on(graph, Side::Local),
+        remote_work: cut.node_weight_on(graph, Side::Remote),
+        ..UserCost::default()
+    };
+    let mut volume = 0.0;
+    let mut crossings = 0usize;
+    for e in graph.edges() {
+        if cut.side(e.source) != cut.side(e.target) {
+            volume += e.weight;
+            crossings += 1;
+        }
+    }
+    cost.tx_volume = volume + crossings as f64 * p.control_overhead;
+    cost.local_time = cost.local_work / p.local_capacity;
+    cost.local_energy = cost.local_time * p.local_power; // (3)
+    cost.tx_time = cost.tx_volume / p.bandwidth; // (5)
+    cost.tx_energy = cost.tx_time * p.tx_power; // (4)
+    cost
+}
+
+/// Pass 2 of [`evaluate_plan_for`] plus the totals: takes one
+/// [`price_user`] row per user (in user order), assigns the server
+/// shares and waiting times of formula (2), and sums formula (6).
+/// `O(users)` scalar work; the rows' pass-1 fields are not touched.
+pub fn evaluate_rows(params: &SystemParams, mut costs: Vec<UserCost>) -> Evaluation {
+    let p = params;
+    let offloads = |c: &UserCost| c.remote_work > 0.0;
     match p.allocation {
         AllocationPolicy::EqualShare => {
-            let k = offloaders.len().max(1) as f64;
+            let k = costs.iter().filter(|c| offloads(c)).count().max(1) as f64;
             let share = p.server_capacity / k;
-            for &i in &offloaders {
-                costs[i].remote_time = costs[i].remote_work / share;
+            for c in costs.iter_mut().filter(|c| offloads(c)) {
+                c.remote_time = c.remote_work / share;
             }
         }
         AllocationPolicy::ProportionalToLoad => {
-            let total: f64 = offloaders.iter().map(|&i| costs[i].remote_work).sum();
+            let total: f64 = costs
+                .iter()
+                .filter(|c| offloads(c))
+                .map(|c| c.remote_work)
+                .sum();
             if total > 0.0 {
                 // share_i = I_S * w_i / total  →  t_s = total / I_S
                 let t = total / p.server_capacity;
-                for &i in &offloaders {
-                    costs[i].remote_time = t;
+                for c in costs.iter_mut().filter(|c| offloads(c)) {
+                    c.remote_time = t;
                 }
             }
         }
         AllocationPolicy::Fifo => {
             let mut clock = 0.0;
-            for &i in &offloaders {
-                costs[i].wait_time = clock;
-                costs[i].remote_time = costs[i].remote_work / p.server_capacity;
-                clock += costs[i].remote_time;
+            for c in costs.iter_mut().filter(|c| offloads(c)) {
+                c.wait_time = clock;
+                c.remote_time = c.remote_work / p.server_capacity;
+                clock += c.remote_time;
             }
         }
     }
@@ -211,10 +240,10 @@ where
     }
     totals.energy = totals.local_energy + totals.tx_energy;
     totals.time = totals.local_time + totals.remote_time + totals.tx_time;
-    Ok(Evaluation {
+    Evaluation {
         per_user: costs,
         totals,
-    })
+    }
 }
 
 impl Scenario {

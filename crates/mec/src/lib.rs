@@ -49,7 +49,10 @@ mod cost;
 mod params;
 mod scenario;
 
-pub use cost::{evaluate_plan_for, validate_plan_for, CostSummary, Evaluation, UserCost};
+pub use cost::{
+    evaluate_plan_for, evaluate_rows, price_user, validate_plan_for, CostSummary, Evaluation,
+    UserCost,
+};
 pub use params::{AllocationPolicy, SystemParams};
 pub use scenario::{Scenario, UserWorkload};
 

@@ -20,6 +20,12 @@ pub enum AllocationPolicy {
     ProportionalToLoad,
     /// The server runs jobs one at a time at full capacity, in user
     /// order; later users accrue waiting time `wt_i` (formula (2)).
+    ///
+    /// A reference-only policy for the greedy placement: a candidate's
+    /// price depends on every offloader's queue position, so pricing
+    /// one is `O(users)` (a greedy pass is `O(users²)`), and delta
+    /// replans always take the exact rescan instead of the convergence
+    /// certificate the other two policies use.
     Fifo,
 }
 

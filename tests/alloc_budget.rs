@@ -372,3 +372,91 @@ fn parent_seeded_recursion_keeps_unseeded_cut_quality_across_seeds() {
         );
     }
 }
+
+/// A warm replan that the convergence certificate settles makes an
+/// exact number of heap allocations, and none of them grows with the
+/// candidates the crowd holds: after a departure the replan has no
+/// churned user to re-seat and no rescan to run, so what allocates is
+/// the `O(crowd)` scalar work around the search.
+#[test]
+fn certified_warm_replan_allocations_are_exact() {
+    use copmecs::obs::Recorder;
+    use std::sync::Arc;
+
+    let _guard = measure_lock();
+    let crowd: Vec<(String, Arc<Graph>)> = (0..9u64)
+        .map(|i| {
+            let g = NetgenSpec::new(60, 180)
+                .seed(300 + i)
+                .generate()
+                .expect("generable workload");
+            (format!("u{i}"), Arc::new(g))
+        })
+        .collect();
+    let sink = Arc::new(Recorder::new());
+    let mut traced = OffloadSession::new(SystemParams::default())
+        .with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    let mut session = OffloadSession::new(SystemParams::default());
+    for s in [&mut traced, &mut session] {
+        s.join_many(crowd.clone()).unwrap();
+        // the rebuild, then a warm replan that derives every user's
+        // candidate lines and sizes the index's buffers
+        s.replan().unwrap();
+        s.replan().unwrap();
+        assert!(s.leave("u4"));
+    }
+    traced.replan().unwrap();
+    assert_eq!(
+        sink.counter_value("greedy.certified"),
+        2,
+        "both warm replans must pass the certificate"
+    );
+
+    let users = 8;
+    let mut report = None;
+    let warm = thread_alloc_delta(|| report = Some(session.replan().unwrap()));
+    let report = report.unwrap();
+    assert_eq!(report.plan.len(), users);
+    assert_eq!(report.greedy.moves, 0);
+    // the greedy objective bookkeeping: three per-user accumulators;
+    // pricing: the copied cost rows; the report: the plan's outer
+    // vector plus one row per user, and the compression statistics
+    let release = 3 + 1 + (1 + users) + 1;
+    // debug builds also run the oracles: `all_moves` (two vectors)
+    // over the certified placement, and `PartSystem::plan` (outer
+    // vector plus one row per user) and `evaluate_plan_for` (its
+    // rows) against the cached report
+    let oracles = |users: usize| 2 + (1 + users) + 1;
+    let expected = if cfg!(debug_assertions) {
+        release + oracles(users)
+    } else {
+        release
+    };
+    assert_eq!(
+        warm, expected as u64,
+        "certified warm replan allocation count changed"
+    );
+
+    // a service copies the rows into the report its shard returned
+    // last time, so only the bookkeeping's accumulators remain (a
+    // service replans only dirty shards: each warm-up needs churn)
+    let mut service = OffloadService::new(SystemParams::default(), 1);
+    service.join_many(crowd).unwrap();
+    service.replan().unwrap();
+    assert!(service.leave("u4"));
+    service.replan().unwrap();
+    assert!(service.leave("u5"));
+    let warm = thread_alloc_delta(|| {
+        service.replan().unwrap();
+    });
+    assert_eq!(service.shard_report(0).unwrap().greedy.evaluations, 0);
+    let expected = if cfg!(debug_assertions) {
+        3 + oracles(users - 1)
+    } else {
+        3
+    };
+    assert_eq!(
+        warm, expected as u64,
+        "certified warm service replan allocation count changed"
+    );
+}

@@ -1,9 +1,12 @@
 //! Property coverage for delta replanning: over random churn
 //! sequences (joins, leaves, resubmits, several seeds) the
 //! warm-started delta replan must never price worse than solving the
-//! same crowd from scratch with [`Offloader::solve`], and a session
-//! with a zero drift limit — which rebuilds after any churn — must
-//! match that one-shot solve exactly.
+//! same crowd from scratch with [`Offloader::solve`], its report —
+//! priced from cached per-user rows — must equal `evaluate_plan_for`
+//! on the whole plan bit for bit, and a session with a zero drift
+//! limit — which rebuilds after any churn — must match that one-shot
+//! solve exactly. (That certified warm replans equal the rescan-only
+//! warm path is tested inside `copmecs-core`, which owns the seam.)
 //!
 //! The CI matrix runs this file on both the default leg and the
 //! `MEC_FORCE_SERIAL=1` leg; the cluster-backed case below covers the
@@ -80,12 +83,60 @@ fn churn_step(
 /// The independent reference: the crowd solved from scratch by the
 /// one-shot pipeline.
 fn one_shot(crowd: &Crowd) -> OffloadReport {
-    let scenario = crowd
-        .iter()
-        .fold(Scenario::new(SystemParams::default()), |s, (name, g)| {
-            s.with_user(UserWorkload::new(name.clone(), Arc::clone(g)))
-        });
+    one_shot_with(crowd, SystemParams::default())
+}
+
+fn one_shot_with(crowd: &Crowd, params: SystemParams) -> OffloadReport {
+    let scenario = crowd.iter().fold(Scenario::new(params), |s, (name, g)| {
+        s.with_user(UserWorkload::new(name.clone(), Arc::clone(g)))
+    });
     Offloader::new().solve(&scenario).unwrap()
+}
+
+/// Every field of an evaluation, as bits.
+fn evaluation_bits(e: &copmecs::model::Evaluation) -> Vec<u64> {
+    let t = &e.totals;
+    e.per_user
+        .iter()
+        .flat_map(|c| {
+            [
+                c.local_work,
+                c.remote_work,
+                c.tx_volume,
+                c.local_time,
+                c.remote_time,
+                c.wait_time,
+                c.tx_time,
+                c.local_energy,
+                c.tx_energy,
+            ]
+        })
+        .chain([
+            t.energy,
+            t.time,
+            t.local_energy,
+            t.tx_energy,
+            t.local_time,
+            t.remote_time,
+            t.tx_time,
+        ])
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// The report must be what `evaluate_plan_for` makes of its plan.
+fn assert_priced_like_the_model(report: &OffloadReport, crowd: &Crowd, context: &str) {
+    let oracle = copmecs::model::evaluate_plan_for(
+        &SystemParams::default(),
+        crowd.iter().map(|(_, g)| g.as_ref()),
+        &report.plan,
+    )
+    .unwrap();
+    assert_eq!(
+        evaluation_bits(&report.evaluation),
+        evaluation_bits(&oracle),
+        "{context}: cached-row pricing diverged from evaluate_plan_for"
+    );
 }
 
 fn assert_bit_identical(got: &OffloadReport, reference: &OffloadReport, context: &str) {
@@ -176,4 +227,69 @@ fn one_shot_parity_holds_on_the_cluster_backend() {
             );
         }
     }
+}
+
+#[test]
+fn delta_reports_price_like_evaluate_plan_for_on_both_backends() {
+    let cluster = Arc::new(copmecs::engine::Cluster::new(2).unwrap());
+    for seed in [5u64, 31] {
+        let mut serial = OffloadSession::new(SystemParams::default());
+        let mut pooled =
+            OffloadSession::new(SystemParams::default()).with_cluster(Arc::clone(&cluster));
+        let mut rng = Rng(seed);
+        let mut crowd = Crowd::new();
+        let mut next_user = 1000 * seed;
+        for step in 0..20 {
+            let event = churn_step(
+                &mut rng,
+                &mut next_user,
+                &mut crowd,
+                &mut [&mut serial, &mut pooled],
+            );
+            // single- and multi-event dirty sets
+            if step % 3 != 1 {
+                let context = format!("seed {seed}, step {step} ({event})");
+                let a = serial.replan().unwrap();
+                let b = pooled.replan().unwrap();
+                assert_priced_like_the_model(&a, &crowd, &context);
+                assert_eq!(a.plan, b.plan, "{context}: backends diverged");
+                assert_eq!(
+                    evaluation_bits(&a.evaluation),
+                    evaluation_bits(&b.evaluation)
+                );
+            }
+        }
+    }
+}
+
+/// `Fifo` prices a candidate from the whole queue, so it is a
+/// reference-only policy: its warm replans always take the exact
+/// rescan (no certificate) and still never lose to a one-shot solve.
+#[test]
+fn fifo_warm_replans_rescan_and_never_lose_to_a_one_shot_solve() {
+    let params = SystemParams {
+        allocation: AllocationPolicy::Fifo,
+        ..SystemParams::default()
+    };
+    let sink = Arc::new(Recorder::new());
+    let mut fifo = OffloadSession::new(params).with_trace_sink(Arc::clone(&sink) as _);
+    let mut crowd: Crowd = (0..10u64)
+        .map(|i| (format!("u{i}"), app_graph(700 + i)))
+        .collect();
+    fifo.join_many(crowd.clone()).unwrap();
+    fifo.replan().unwrap();
+    let mut rng = Rng(19);
+    let mut next_user = 100u64;
+    for step in 0..12 {
+        churn_step(&mut rng, &mut next_user, &mut crowd, &mut [&mut fifo]);
+        let d = fifo.replan().unwrap().evaluation.totals.objective();
+        let f = one_shot_with(&crowd, params).evaluation.totals.objective();
+        assert!(
+            d <= f + 1e-9 * f.abs().max(1.0),
+            "step {step}: Fifo delta objective {d} worse than one-shot {f}"
+        );
+    }
+    assert!(sink.counter_value("session.replans_delta") > 0);
+    assert_eq!(sink.counter_value("greedy.certified"), 0);
+    assert_eq!(sink.counter_value("greedy.certificate_fallbacks"), 0);
 }
