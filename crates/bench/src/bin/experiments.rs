@@ -657,7 +657,8 @@ fn render_stage_percentiles(registry: &MetricsRegistry) {
 
 fn run_fig9(opts: &Options, sink: &Arc<dyn TraceSink>, registry: &Arc<MetricsRegistry>) {
     println!("== Fig. 9: execution time vs graph size ==\n");
-    let points: Vec<RuntimePoint> = runtime::run_traced(&sizes(opts), opts.seed, opts.extra, sink);
+    let points: Vec<RuntimePoint> =
+        runtime::run_traced(&sizes(opts), opts.seed, opts.extra, sink, registry);
     let sizes: Vec<usize> = {
         let mut s: Vec<_> = points.iter().map(|p| p.size).collect();
         s.dedup();

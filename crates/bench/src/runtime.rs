@@ -263,7 +263,7 @@ pub fn frontend_speedup_traced(
     );
 
     let interval = registry.snapshot().since(&before);
-    let wall = Duration::from_secs_f64(cluster_seconds);
+    let wall_ns = Duration::from_secs_f64(cluster_seconds).as_nanos() as f64;
     let per_worker = (0..workers)
         .map(|w| {
             let label = w.to_string();
@@ -288,7 +288,11 @@ pub fn frontend_speedup_traced(
                 worker: w,
                 tasks,
                 busy_seconds: busy_nanos as f64 / 1e9,
-                utilization: WorkerSnapshotProxy(busy_nanos).busy_fraction(wall),
+                utilization: if wall_ns > 0.0 {
+                    (busy_nanos as f64 / wall_ns).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
                 p50_task_nanos: p50,
                 p99_task_nanos: p99,
                 p50_queue_nanos: p50_queue,
@@ -310,21 +314,6 @@ pub fn frontend_speedup_traced(
         },
         per_worker,
     )
-}
-
-/// Busy-fraction arithmetic shared with
-/// [`mec_engine::WorkerSnapshot::busy_fraction`], applied to a
-/// registry-sourced busy counter.
-struct WorkerSnapshotProxy(u64);
-
-impl WorkerSnapshotProxy {
-    fn busy_fraction(&self, wall: Duration) -> f64 {
-        let wall_ns = wall.as_nanos() as f64;
-        if wall_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.0 as f64 / wall_ns).clamp(0.0, 1.0)
-    }
 }
 
 /// Builds the Fig. 9 workload: a *single-component* graph of `nodes`
@@ -354,19 +343,32 @@ fn time_pipeline(offloader: &Offloader, scenario: &Scenario) -> f64 {
 /// Runs the timing sweep. `include_extra` adds the `lanczos-serial`
 /// ablation series.
 pub fn run(sizes: &[usize], seed: u64, include_extra: bool) -> Vec<RuntimePoint> {
-    run_traced(sizes, seed, include_extra, &mec_obs::null_sink())
+    run_traced(
+        sizes,
+        seed,
+        include_extra,
+        &mec_obs::null_sink(),
+        &Arc::default(),
+    )
 }
 
 /// Like [`run`] but wires `sink` into every pipeline variant and
-/// re-emits the engine cluster's counters (`engine.stages`,
-/// `engine.tasks`, `engine.busy_nanos`) once the sweep finishes.
+/// records the engine variant's cluster into `registry` (its
+/// `engine.*` series, see [`Cluster::metrics`]).
 pub fn run_traced(
     sizes: &[usize],
     seed: u64,
     include_extra: bool,
     sink: &Arc<dyn TraceSink>,
+    registry: &Arc<MetricsRegistry>,
 ) -> Vec<RuntimePoint> {
-    let cluster = Arc::new(Cluster::with_default_parallelism().expect("cluster spawns"));
+    // sized like `Cluster::with_default_parallelism`
+    let workers = std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(2)
+        .max(2);
+    let cluster =
+        Arc::new(Cluster::with_metrics(workers, Arc::clone(registry)).expect("cluster spawns"));
     let mut out = Vec::new();
     for (i, &size) in sizes.iter().enumerate() {
         let graph = Arc::new(runtime_graph(size, seed + i as u64));
@@ -429,7 +431,6 @@ pub fn run_traced(
             });
         }
     }
-    cluster.metrics().emit_to(sink.as_ref());
     out
 }
 

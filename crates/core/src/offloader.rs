@@ -579,7 +579,12 @@ mod tests {
         // the stage path actually ran on the cluster (unless the
         // environment forces every context onto the serial backend)
         if !crate::exec::force_serial() {
-            assert!(cluster.metrics().tasks >= 3);
+            let tasks = cluster
+                .metrics()
+                .snapshot()
+                .histogram_total("engine.task_nanos")
+                .count();
+            assert!(tasks >= 3);
         }
     }
 

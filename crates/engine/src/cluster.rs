@@ -1,7 +1,7 @@
 //! The persistent worker pool.
 
-use crate::metrics::{Metrics, WorkerSnapshot};
-use crate::{EngineError, MetricsSnapshot};
+use crate::metrics::Metrics;
+use crate::EngineError;
 use crossbeam::channel::{unbounded, Sender};
 use mec_obs::metrics::MetricsRegistry;
 use mec_obs::TraceSink;
@@ -84,6 +84,9 @@ pub struct Cluster {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
+    /// Where every stage and task is recorded (see
+    /// [`metrics`](Cluster::metrics)).
+    registry: Arc<MetricsRegistry>,
     metrics: Arc<Metrics>,
     /// The sink the workers registered with at spawn, kept so pipeline
     /// layers holding only the cluster can flush worker-side shard
@@ -92,7 +95,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Spawns a cluster with `workers` threads.
+    /// Spawns a cluster with `workers` threads, recording into a
+    /// registry of its own.
     ///
     /// # Errors
     ///
@@ -101,11 +105,9 @@ impl Cluster {
         Cluster::build(workers, None, None)
     }
 
-    /// Spawns a cluster whose per-worker task-latency and queue-wait
-    /// histograms, busy counters, and stage fan-out widths are recorded
-    /// into `registry` (as `engine.task_nanos{worker="i"}`,
-    /// `engine.queue_wait_nanos{worker="i"}`,
-    /// `engine.worker_busy_nanos{worker="i"}`, `engine.stage_width`).
+    /// Spawns a cluster that records into the shared `registry`
+    /// instead of one of its own (see [`metrics`](Cluster::metrics)
+    /// for the series).
     ///
     /// # Errors
     ///
@@ -118,7 +120,8 @@ impl Cluster {
     }
 
     /// Spawns a cluster with both a metrics registry (as in
-    /// [`with_metrics`](Cluster::with_metrics)) and a [`TraceSink`]
+    /// [`with_metrics`](Cluster::with_metrics); `None` records into a
+    /// registry of its own) and a [`TraceSink`]
     /// that each worker thread registers itself with
     /// ([`TraceSink::register_worker`]) before taking its first task —
     /// a sharded sink pins worker `i` to ring shard `i`, so worker
@@ -144,7 +147,8 @@ impl Cluster {
             return Err(EngineError::NoWorkers);
         }
         let (sender, receiver) = unbounded::<Job>();
-        let metrics = Arc::new(Metrics::new(workers, registry.as_deref()));
+        let registry = registry.unwrap_or_default();
+        let metrics = Arc::new(Metrics::new(workers, &registry));
         let handles = (0..workers)
             .map(|i| {
                 let rx = receiver.clone();
@@ -166,6 +170,7 @@ impl Cluster {
             sender: Some(sender),
             workers: handles,
             worker_count: workers,
+            registry,
             metrics,
             sink,
         })
@@ -324,14 +329,17 @@ impl Cluster {
         }
     }
 
-    /// Current execution counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Per-worker execution counters, indexed by worker.
-    pub fn worker_metrics(&self) -> Vec<WorkerSnapshot> {
-        self.metrics.worker_snapshots()
+    /// The registry this cluster records into. Each stage records its
+    /// fan-out width in `engine.stage_width`; each task records its
+    /// latency in `engine.task_nanos{worker="i"}`, its queue wait in
+    /// `engine.queue_wait_nanos{worker="i"}`, and adds its latency to
+    /// `engine.worker_busy_nanos{worker="i"}`. So the stage count is
+    /// the `engine.stage_width` count, the task count is the summed
+    /// `engine.task_nanos` counts, and each worker's busy counter equals
+    /// its `engine.task_nanos` sum. Clusters sharing a registry add
+    /// into the same series.
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.registry)
     }
 }
 
@@ -490,14 +498,48 @@ mod tests {
         let c = Cluster::new(2).unwrap();
         c.run_stage(vec![1, 2, 3], |_, x: i32| x).unwrap();
         c.run_stage(vec![1], |_, x: i32| x).unwrap();
-        let m = c.metrics();
-        assert_eq!(m.stages, 2);
-        assert_eq!(m.tasks, 4);
-        assert_eq!(m.workers, 2);
-        assert!(m.wall_nanos > 0);
+        let snap = c.metrics().snapshot();
+        assert_eq!(snap.histogram_total("engine.stage_width").count(), 2);
         // every task ran on some worker
-        let per_worker: u64 = c.worker_metrics().iter().map(|w| w.tasks).sum();
-        assert_eq!(per_worker, 4);
+        assert_eq!(snap.histogram_total("engine.task_nanos").count(), 4);
+        assert_eq!(snap.histogram_total("engine.queue_wait_nanos").count(), 4);
+    }
+
+    /// Runs stages of the given widths on `c` and checks the registry
+    /// gained exactly one `engine.stage_width` sample per stage, one
+    /// `engine.task_nanos` sample per task, and busy time equal to the
+    /// summed task latencies.
+    fn assert_exact_engine_counts(c: &Cluster, widths: &[usize]) {
+        let before = c.metrics().snapshot();
+        for &w in widths {
+            c.run_stage((0..w).collect(), |_, x: usize| x).unwrap();
+        }
+        let d = c.metrics().snapshot().since(&before);
+        let tasks = d.histogram_total("engine.task_nanos");
+        assert_eq!(
+            d.histogram_total("engine.stage_width").count(),
+            widths.len() as u64
+        );
+        assert_eq!(tasks.count(), widths.iter().sum::<usize>() as u64);
+        assert_eq!(d.counter_total("engine.worker_busy_nanos"), tasks.sum());
+    }
+
+    #[test]
+    fn registry_counts_are_exact_on_private_and_shared_registries() {
+        let widths = [3, 0, 7, 1, 12];
+        assert_exact_engine_counts(&Cluster::new(3).unwrap(), &widths);
+        // a shared registry that already holds other series, written
+        // by two clusters at once: each run's delta is still exact
+        let shared = Arc::new(MetricsRegistry::new());
+        shared.counter("unrelated.total").add(5);
+        let a = Cluster::with_metrics(2, Arc::clone(&shared)).unwrap();
+        let b = Cluster::with_telemetry(4, Some(Arc::clone(&shared)), None).unwrap();
+        assert!(Arc::ptr_eq(&a.metrics(), &shared));
+        assert_exact_engine_counts(&a, &widths);
+        assert_exact_engine_counts(&b, &widths);
+        let snap = shared.snapshot();
+        assert_eq!(snap.histogram_total("engine.stage_width").count(), 10);
+        assert_eq!(snap.histogram_total("engine.task_nanos").count(), 46);
     }
 
     #[test]

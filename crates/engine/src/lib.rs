@@ -15,6 +15,13 @@
 //! Everything is deterministic: stage results are reassembled in
 //! input order regardless of worker scheduling.
 //!
+//! Every cluster records its stages and tasks into a
+//! [`MetricsRegistry`](mec_obs::MetricsRegistry) — its own, or a shared
+//! one such as a trace recorder's — which [`Cluster::metrics`] returns:
+//! `engine.stage_width`, `engine.task_nanos{worker}`,
+//! `engine.queue_wait_nanos{worker}` and
+//! `engine.worker_busy_nanos{worker}`.
+//!
 //! # Example
 //!
 //! ```
@@ -48,6 +55,5 @@ mod parallel_op;
 
 pub use cluster::{Cluster, StageError};
 pub use error::EngineError;
-pub use metrics::{MetricsSnapshot, WorkerSnapshot};
 pub use parallel_csr::ParallelCsr;
 pub use parallel_op::ParallelLaplacian;

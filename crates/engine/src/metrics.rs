@@ -1,81 +1,61 @@
 //! Execution metrics: how much work the cluster actually did, and how
 //! it was distributed across workers.
 //!
-//! Two tiers live here. The *facade* tier — [`MetricsSnapshot`] and
-//! [`WorkerSnapshot`] — is plain `Copy` data readable without any
-//! registry, preserved from the original three-counter design. The
-//! *distribution* tier records per-worker task-latency and queue-wait
-//! histograms plus stage fan-out width into an
-//! [`mec_obs::MetricsRegistry`] when the cluster was built with
-//! [`Cluster::with_metrics`](crate::Cluster::with_metrics); without a
-//! registry those handles are inert and recording costs a branch.
+//! Every cluster records into a [`mec_obs::MetricsRegistry`] — its own,
+//! or the shared one it was built with
+//! ([`Cluster::with_metrics`](crate::Cluster::with_metrics)) — and
+//! [`Cluster::metrics`](crate::Cluster::metrics) hands that registry
+//! back. Per stage it records the fan-out width
+//! (`engine.stage_width`); per task, which worker ran it, how long it
+//! computed (`engine.task_nanos{worker}`) and how long it sat queued
+//! first (`engine.queue_wait_nanos{worker}`), plus the worker's
+//! cumulative busy time (`engine.worker_busy_nanos{worker}`). Stage and
+//! task counts are the histogram counts; busy time is exactly the sum
+//! of the worker's task latencies.
 
 use mec_obs::metrics::{CounterHandle, HistogramHandle, MetricsRegistry};
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Per-worker registry handles (inert without a registry).
-#[derive(Debug, Default)]
+/// One worker's registry handles.
+#[derive(Debug)]
 struct WorkerHandles {
     task_nanos: HistogramHandle,
     queue_wait_nanos: HistogramHandle,
     busy_nanos: CounterHandle,
 }
 
-/// Per-worker atomic counters.
-#[derive(Debug, Default)]
-struct WorkerCell {
-    tasks: AtomicU64,
-    busy_nanos: AtomicU64,
-}
-
-/// Internal shared metrics: aggregate atomics, per-worker cells, and
-/// optional registry handles.
+/// The cluster's registry handles, resolved once at spawn so recording
+/// is lock-free.
 #[derive(Debug)]
 pub(crate) struct Metrics {
-    start: Instant,
-    stages: AtomicU64,
-    tasks: AtomicU64,
-    busy_nanos: AtomicU64,
-    queue_nanos: AtomicU64,
-    workers: Vec<WorkerCell>,
-    handles: Vec<WorkerHandles>,
+    workers: Vec<WorkerHandles>,
     stage_width: HistogramHandle,
 }
 
 impl Metrics {
-    /// Metrics for `workers` threads, wired into `registry` when given.
-    pub(crate) fn new(workers: usize, registry: Option<&MetricsRegistry>) -> Self {
-        let handles = (0..workers)
-            .map(|i| match registry {
-                Some(r) => WorkerHandles {
-                    task_nanos: r.histogram_labeled("engine.task_nanos", "worker", i.to_string()),
-                    queue_wait_nanos: r.histogram_labeled(
+    /// Handles for `workers` threads in `registry`.
+    pub(crate) fn new(workers: usize, registry: &MetricsRegistry) -> Self {
+        Metrics {
+            workers: (0..workers)
+                .map(|i| WorkerHandles {
+                    task_nanos: registry.histogram_labeled(
+                        "engine.task_nanos",
+                        "worker",
+                        i.to_string(),
+                    ),
+                    queue_wait_nanos: registry.histogram_labeled(
                         "engine.queue_wait_nanos",
                         "worker",
                         i.to_string(),
                     ),
-                    busy_nanos: r.counter_labeled(
+                    busy_nanos: registry.counter_labeled(
                         "engine.worker_busy_nanos",
                         "worker",
                         i.to_string(),
                     ),
-                },
-                None => WorkerHandles::default(),
-            })
-            .collect();
-        Metrics {
-            start: Instant::now(),
-            stages: AtomicU64::new(0),
-            tasks: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            queue_nanos: AtomicU64::new(0),
-            workers: (0..workers).map(|_| WorkerCell::default()).collect(),
-            handles,
-            stage_width: registry
-                .map(|r| r.histogram("engine.stage_width"))
-                .unwrap_or_default(),
+                })
+                .collect(),
+            stage_width: registry.histogram("engine.stage_width"),
         }
     }
 
@@ -83,151 +63,16 @@ impl Metrics {
     /// computed, and how long it sat queued first.
     pub(crate) fn record_task(&self, worker: usize, busy: Duration, queue_wait: Duration) {
         let busy_ns = busy.as_nanos() as u64;
-        let wait_ns = queue_wait.as_nanos() as u64;
-        self.tasks.fetch_add(1, Ordering::Relaxed);
-        self.busy_nanos.fetch_add(busy_ns, Ordering::Relaxed);
-        self.queue_nanos.fetch_add(wait_ns, Ordering::Relaxed);
-        if let Some(cell) = self.workers.get(worker) {
-            cell.tasks.fetch_add(1, Ordering::Relaxed);
-            cell.busy_nanos.fetch_add(busy_ns, Ordering::Relaxed);
-        }
-        if let Some(h) = self.handles.get(worker) {
+        if let Some(h) = self.workers.get(worker) {
             h.task_nanos.record(busy_ns);
-            h.queue_wait_nanos.record(wait_ns);
+            h.queue_wait_nanos.record(queue_wait.as_nanos() as u64);
             h.busy_nanos.add(busy_ns);
         }
     }
 
     /// Records one submitted stage and its fan-out width.
     pub(crate) fn record_stage(&self, width: usize) {
-        self.stages.fetch_add(1, Ordering::Relaxed);
         self.stage_width.record(width as u64);
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            stages: self.stages.load(Ordering::Relaxed),
-            tasks: self.tasks.load(Ordering::Relaxed),
-            busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
-            queue_nanos: self.queue_nanos.load(Ordering::Relaxed),
-            workers: self.workers.len() as u64,
-            wall_nanos: self.start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    pub(crate) fn worker_snapshots(&self) -> Vec<WorkerSnapshot> {
-        self.workers
-            .iter()
-            .enumerate()
-            .map(|(i, c)| WorkerSnapshot {
-                worker: i as u64,
-                tasks: c.tasks.load(Ordering::Relaxed),
-                busy_nanos: c.busy_nanos.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-}
-
-/// A point-in-time copy of the cluster's execution counters.
-///
-/// Still `Copy` and field-compatible with the original three-counter
-/// snapshot (`stages` / `tasks` / `busy_nanos`); the added fields carry
-/// enough context to turn cumulative nanos into utilization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Stages executed since cluster start.
-    pub stages: u64,
-    /// Tasks executed since cluster start.
-    pub tasks: u64,
-    /// Cumulative wall time workers spent inside tasks, in nanoseconds.
-    pub busy_nanos: u64,
-    /// Cumulative time tasks waited in the queue before a worker picked
-    /// them up, in nanoseconds.
-    pub queue_nanos: u64,
-    /// Number of worker threads in the cluster.
-    pub workers: u64,
-    /// Wall time since the cluster started, in nanoseconds, measured at
-    /// snapshot time.
-    pub wall_nanos: u64,
-}
-
-impl MetricsSnapshot {
-    /// Mean task duration in nanoseconds; `0` when no task ran yet.
-    pub fn mean_task_nanos(&self) -> u64 {
-        self.busy_nanos.checked_div(self.tasks).unwrap_or(0)
-    }
-
-    /// Mean queue wait per task in nanoseconds; `0` when no task ran.
-    pub fn mean_queue_wait_nanos(&self) -> u64 {
-        self.queue_nanos.checked_div(self.tasks).unwrap_or(0)
-    }
-
-    /// Busy fraction per worker over an explicit wall-clock window:
-    /// `busy_nanos / (workers · wall)`, clamped to `[0, 1]`. Returns
-    /// `0.0` for an empty window or a worker-less snapshot.
-    pub fn utilization(&self, wall: Duration) -> f64 {
-        let wall_ns = wall.as_nanos() as f64;
-        if wall_ns <= 0.0 || self.workers == 0 {
-            return 0.0;
-        }
-        (self.busy_nanos as f64 / (self.workers as f64 * wall_ns)).clamp(0.0, 1.0)
-    }
-
-    /// [`utilization`](Self::utilization) over the snapshot's own
-    /// cluster lifetime (`wall_nanos`).
-    pub fn lifetime_utilization(&self) -> f64 {
-        self.utilization(Duration::from_nanos(self.wall_nanos))
-    }
-
-    /// Re-emits these counters on a trace sink (`engine.stages`,
-    /// `engine.tasks`, `engine.busy_nanos`, `engine.queue_nanos`). The
-    /// sink's counters are monotonic, so call this once per snapshot —
-    /// typically right before exporting a trace.
-    pub fn emit_to(&self, sink: &dyn mec_obs::TraceSink) {
-        sink.counter_add("engine.stages", self.stages);
-        sink.counter_add("engine.tasks", self.tasks);
-        sink.counter_add("engine.busy_nanos", self.busy_nanos);
-        sink.counter_add("engine.queue_nanos", self.queue_nanos);
-    }
-}
-
-impl fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} stages, {} tasks on {} workers, {:.3} ms busy \
-             (mean task {} ns, mean queue wait {} ns, {:.1}% busy/worker)",
-            self.stages,
-            self.tasks,
-            self.workers,
-            self.busy_nanos as f64 / 1e6,
-            self.mean_task_nanos(),
-            self.mean_queue_wait_nanos(),
-            self.lifetime_utilization() * 100.0,
-        )
-    }
-}
-
-/// Per-worker slice of the execution counters, from
-/// [`Cluster::worker_metrics`](crate::Cluster::worker_metrics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerSnapshot {
-    /// Worker index (matches the `worker` label in the registry).
-    pub worker: u64,
-    /// Tasks this worker completed.
-    pub tasks: u64,
-    /// Wall time this worker spent inside tasks, in nanoseconds.
-    pub busy_nanos: u64,
-}
-
-impl WorkerSnapshot {
-    /// This worker's busy fraction over `wall`, clamped to `[0, 1]`.
-    pub fn busy_fraction(&self, wall: Duration) -> f64 {
-        let wall_ns = wall.as_nanos() as f64;
-        if wall_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_nanos as f64 / wall_ns).clamp(0.0, 1.0)
     }
 }
 
@@ -236,112 +81,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let m = Metrics::new(2, None);
-        m.record_stage(3);
-        m.record_task(0, Duration::from_nanos(100), Duration::from_nanos(10));
-        m.record_task(1, Duration::from_nanos(300), Duration::from_nanos(30));
-        let s = m.snapshot();
-        assert_eq!(s.stages, 1);
-        assert_eq!(s.tasks, 2);
-        assert_eq!(s.busy_nanos, 400);
-        assert_eq!(s.queue_nanos, 40);
-        assert_eq!(s.workers, 2);
-        assert_eq!(s.mean_task_nanos(), 200);
-        assert_eq!(s.mean_queue_wait_nanos(), 20);
-        let w = m.worker_snapshots();
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].tasks, 1);
-        assert_eq!(w[0].busy_nanos, 100);
-        assert_eq!(w[1].busy_nanos, 300);
-    }
-
-    #[test]
-    fn empty_snapshot_mean_is_zero() {
-        assert_eq!(MetricsSnapshot::default().mean_task_nanos(), 0);
-        assert_eq!(MetricsSnapshot::default().mean_queue_wait_nanos(), 0);
-    }
-
-    #[test]
-    fn utilization_is_busy_over_workers_times_wall() {
-        let s = MetricsSnapshot {
-            stages: 1,
-            tasks: 4,
-            busy_nanos: 2_000_000,
-            queue_nanos: 0,
-            workers: 4,
-            wall_nanos: 1_000_000,
-        };
-        // 2 ms busy spread over 4 workers for a 1 ms window: 50 %
-        assert!((s.utilization(Duration::from_nanos(1_000_000)) - 0.5).abs() < 1e-12);
-        assert!((s.lifetime_utilization() - 0.5).abs() < 1e-12);
-        // degenerate inputs stay in range
-        assert_eq!(s.utilization(Duration::ZERO), 0.0);
-        assert_eq!(
-            MetricsSnapshot::default().utilization(Duration::from_secs(1)),
-            0.0
-        );
-        let overfull = MetricsSnapshot {
-            busy_nanos: u64::MAX,
-            workers: 1,
-            wall_nanos: 1,
-            ..MetricsSnapshot::default()
-        };
-        assert_eq!(overfull.utilization(Duration::from_nanos(1)), 1.0);
-    }
-
-    #[test]
-    fn worker_busy_fraction_is_clamped() {
-        let w = WorkerSnapshot {
-            worker: 0,
-            tasks: 2,
-            busy_nanos: 500,
-        };
-        assert!((w.busy_fraction(Duration::from_nanos(1000)) - 0.5).abs() < 1e-12);
-        assert_eq!(w.busy_fraction(Duration::ZERO), 0.0);
-        assert_eq!(w.busy_fraction(Duration::from_nanos(100)), 1.0);
-    }
-
-    #[test]
-    fn display_covers_all_counters_and_utilization() {
-        let s = MetricsSnapshot {
-            stages: 2,
-            tasks: 4,
-            busy_nanos: 8_000_000,
-            queue_nanos: 400,
-            workers: 4,
-            wall_nanos: 4_000_000,
-        };
-        let text = s.to_string();
-        assert!(text.contains("2 stages"), "{text}");
-        assert!(text.contains("4 tasks"), "{text}");
-        assert!(text.contains("4 workers"), "{text}");
-        assert!(text.contains("2000000 ns"), "{text}");
-        assert!(text.contains("50.0% busy/worker"), "{text}");
-    }
-
-    #[test]
-    fn emit_to_forwards_counters() {
-        let rec = mec_obs::Recorder::new();
-        let s = MetricsSnapshot {
-            stages: 3,
-            tasks: 7,
-            busy_nanos: 100,
-            queue_nanos: 40,
-            workers: 2,
-            wall_nanos: 0,
-        };
-        s.emit_to(&rec);
-        assert_eq!(rec.counter_value("engine.stages"), 3);
-        assert_eq!(rec.counter_value("engine.tasks"), 7);
-        assert_eq!(rec.counter_value("engine.busy_nanos"), 100);
-        assert_eq!(rec.counter_value("engine.queue_nanos"), 40);
-    }
-
-    #[test]
     fn registry_receives_per_worker_distributions() {
         let registry = MetricsRegistry::new();
-        let m = Metrics::new(2, Some(&registry));
+        let m = Metrics::new(2, &registry);
         m.record_stage(4);
         m.record_task(0, Duration::from_nanos(1_000), Duration::from_nanos(50));
         m.record_task(0, Duration::from_nanos(3_000), Duration::from_nanos(70));
@@ -356,6 +98,7 @@ mod tests {
             .histogram_labeled("engine.queue_wait_nanos", "worker", "1")
             .expect("worker 1 queue histogram");
         assert_eq!(w1.count(), 1);
+        assert_eq!(w1.sum(), 60);
         assert_eq!(
             snap.counter_labeled("engine.worker_busy_nanos", "worker", "0"),
             Some(4_000)

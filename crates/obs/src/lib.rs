@@ -9,15 +9,17 @@
 //!   named monotonic counters, and structured events;
 //! - [`NullSink`] — the default no-op; every method is an empty default
 //!   so the uninstrumented path compiles away to nothing;
-//! - [`Recorder`] — an in-memory sink with atomic counters, a bounded
-//!   event ring buffer, full span records, and JSON export for
+//! - [`Recorder`] — an in-memory sink with a bounded event ring
+//!   buffer, full span records, and JSON export for
 //!   `scripts/plot_figures.py` and the `--trace-out` flag of the
 //!   experiments binary;
 //! - [`MetricsRegistry`] (the `mec-metrics` layer, [`metrics`]) — live
 //!   log-bucketed histograms, gauges, and labeled counters with
 //!   percentile summaries, snapshot diffing, and JSON/Prometheus
 //!   exposition — the distributional complement to the event-ordered
-//!   trace above;
+//!   trace above, and the one store every counter and histogram lives
+//!   in: each recorder keeps its counters in its registry, and every
+//!   export reads them from there;
 //! - [`MetricsSink`] — a [`TraceSink`] that forwards counters and
 //!   histogram records into a shared registry without recording spans
 //!   or events, for metric collection at near-zero overhead;
@@ -241,7 +243,7 @@ impl MetricsSink {
 
 impl TraceSink for MetricsSink {
     fn enabled(&self) -> bool {
-        self.registry.enabled()
+        true
     }
 
     fn counter_add(&self, name: &'static str, delta: u64) {

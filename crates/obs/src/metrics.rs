@@ -6,11 +6,11 @@
 //! [`MetricsRegistry`] hands out cheap handles —
 //! [`HistogramHandle`], [`CounterHandle`], [`GaugeHandle`] — whose
 //! recording path is a handful of relaxed atomic operations, so worker
-//! threads can record every task without contending on a lock. A
-//! disabled registry ([`MetricsRegistry::disabled`]) hands out inert
-//! handles: recording through them is a branch on a `None`, performs no
-//! atomic traffic, and never touches the heap — the property
-//! `tests/alloc_budget.rs` pins for the pipeline hot path.
+//! threads can record every task without contending on a lock. The
+//! registry is the one store every counter and histogram lives in: the
+//! engine's per-worker series, the pipeline's stage histograms, and the
+//! trace sinks' exact counters ([`crate::Recorder`]). Code that should
+//! record nothing takes a [`crate::NullSink`] instead of a registry.
 //!
 //! Histograms are HdrHistogram-style: base-2 buckets with 32 linear
 //! sub-buckets per octave, giving ≤ 3.2 % relative error over the full
@@ -19,7 +19,7 @@
 //! subtraction), so long-lived sessions can report per-interval
 //! percentiles from two cumulative snapshots.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -320,83 +320,51 @@ impl MetricKey {
     }
 }
 
-/// A recording handle for one histogram. Inert (`record` is a no-op
-/// branch, no atomics, no allocation) when obtained from a disabled
-/// registry.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Option<Arc<Histogram>>);
+/// A recording handle for one histogram.
+#[derive(Debug, Clone)]
+pub struct HistogramHandle(Arc<Histogram>);
 
 impl HistogramHandle {
-    /// A permanently inert handle.
-    pub fn disabled() -> Self {
-        HistogramHandle(None)
-    }
-
-    /// `true` when recording actually lands somewhere.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        if let Some(h) = &self.0 {
-            h.record(v);
-        }
+        self.0.record(v);
     }
 
     /// Records a duration as nanoseconds.
     #[inline]
     pub fn record_duration(&self, d: Duration) {
-        if let Some(h) = &self.0 {
-            h.record_duration(d);
-        }
+        self.0.record_duration(d);
     }
 }
 
-/// A recording handle for one counter (inert when disabled).
-#[derive(Debug, Clone, Default)]
-pub struct CounterHandle(Option<Arc<Counter>>);
+/// A recording handle for one counter.
+#[derive(Debug, Clone)]
+pub struct CounterHandle(Arc<Counter>);
 
 impl CounterHandle {
-    /// A permanently inert handle.
-    pub fn disabled() -> Self {
-        CounterHandle(None)
-    }
-
     /// Adds `delta`.
     #[inline]
     pub fn add(&self, delta: u64) {
-        if let Some(c) = &self.0 {
-            c.add(delta);
-        }
+        self.0.add(delta);
     }
 }
 
-/// A recording handle for one gauge (inert when disabled).
-#[derive(Debug, Clone, Default)]
-pub struct GaugeHandle(Option<Arc<Gauge>>);
+/// A recording handle for one gauge.
+#[derive(Debug, Clone)]
+pub struct GaugeHandle(Arc<Gauge>);
 
 impl GaugeHandle {
-    /// A permanently inert handle.
-    pub fn disabled() -> Self {
-        GaugeHandle(None)
-    }
-
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.set(v);
-        }
+        self.0.set(v);
     }
 
     /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if let Some(g) = &self.0 {
-            g.add(delta);
-        }
+        self.0.add(delta);
     }
 }
 
@@ -415,58 +383,26 @@ struct RegistryInner {
 /// ([`record_histogram`](Self::record_histogram),
 /// [`add_counter`](Self::add_counter)) take a read lock per call and
 /// exist for call sites that only hold a `dyn TraceSink`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
     inner: RwLock<RegistryInner>,
 }
 
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MetricsRegistry {
-    /// An enabled registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        MetricsRegistry {
-            enabled: true,
-            inner: RwLock::new(RegistryInner::default()),
-        }
+        Self::default()
     }
 
-    /// A registry whose handles are all inert: recording costs a
-    /// branch and never allocates.
-    pub fn disabled() -> Self {
-        MetricsRegistry {
-            enabled: false,
-            inner: RwLock::new(RegistryInner::default()),
-        }
-    }
-
-    /// `true` when this registry records anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn histogram_arc(&self, key: MetricKey) -> Option<Arc<Histogram>> {
-        if !self.enabled {
-            return None;
-        }
+    fn histogram_arc(&self, key: MetricKey) -> Arc<Histogram> {
         {
             let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             if let Some(h) = inner.histograms.get(&key) {
-                return Some(Arc::clone(h));
+                return Arc::clone(h);
             }
         }
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        Some(Arc::clone(
-            inner
-                .histograms
-                .entry(key)
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        ))
+        Arc::clone(inner.histograms.entry(key).or_default())
     }
 
     /// Handle for the unlabeled histogram `name`.
@@ -485,11 +421,8 @@ impl MetricsRegistry {
     }
 
     /// One-shot histogram record by name (the [`crate::TraceSink`]
-    /// forwarding path). No-op on a disabled registry.
+    /// forwarding path).
     pub fn record_histogram(&self, name: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         {
             let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             if let Some(h) = inner.histograms.get(&MetricKey::plain(name)) {
@@ -497,23 +430,18 @@ impl MetricsRegistry {
                 return;
             }
         }
-        if let Some(h) = self.histogram_arc(MetricKey::plain(name)) {
-            h.record(value);
-        }
+        self.histogram_arc(MetricKey::plain(name)).record(value);
     }
 
-    fn counter_arc(&self, key: MetricKey) -> Option<Arc<Counter>> {
-        if !self.enabled {
-            return None;
-        }
+    fn counter_arc(&self, key: MetricKey) -> Arc<Counter> {
         {
             let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             if let Some(c) = inner.counters.get(&key) {
-                return Some(Arc::clone(c));
+                return Arc::clone(c);
             }
         }
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        Some(Arc::clone(inner.counters.entry(key).or_default()))
+        Arc::clone(inner.counters.entry(key).or_default())
     }
 
     /// Handle for the unlabeled counter `name`.
@@ -531,11 +459,8 @@ impl MetricsRegistry {
         CounterHandle(self.counter_arc(MetricKey::labeled(name, key, value)))
     }
 
-    /// One-shot counter add by name. No-op on a disabled registry.
+    /// One-shot counter add by name.
     pub fn add_counter(&self, name: &'static str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
         {
             let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             if let Some(c) = inner.counters.get(&MetricKey::plain(name)) {
@@ -543,23 +468,29 @@ impl MetricsRegistry {
                 return;
             }
         }
-        if let Some(c) = self.counter_arc(MetricKey::plain(name)) {
-            c.add(delta);
-        }
+        self.counter_arc(MetricKey::plain(name)).add(delta);
     }
 
-    fn gauge_arc(&self, key: MetricKey) -> Option<Arc<Gauge>> {
-        if !self.enabled {
-            return None;
-        }
+    /// Current value of the unlabeled counter `name` (0 if it was
+    /// never created).
+    pub(crate) fn counter_value(&self, name: &str) -> u64 {
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        inner
+            .counters
+            .iter()
+            .find(|(k, _)| k.name == name && k.label.is_none())
+            .map_or(0, |(_, c)| c.value())
+    }
+
+    fn gauge_arc(&self, key: MetricKey) -> Arc<Gauge> {
         {
             let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             if let Some(g) = inner.gauges.get(&key) {
-                return Some(Arc::clone(g));
+                return Arc::clone(g);
             }
         }
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        Some(Arc::clone(inner.gauges.entry(key).or_default()))
+        Arc::clone(inner.gauges.entry(key).or_default())
     }
 
     /// Handle for the unlabeled gauge `name`.
@@ -674,6 +605,26 @@ impl RegistrySnapshot {
             .map(|(_, v)| *v)
     }
 
+    /// Every series of histogram `name` (unlabeled and any label)
+    /// merged into one distribution; empty when there is none.
+    pub fn histogram_total(&self, name: &str) -> HistogramSnapshot {
+        let mut total = HistogramSnapshot::empty();
+        for (_, h) in self.histograms.iter().filter(|(k, _)| k.name == name) {
+            total.merge(h);
+        }
+        total
+    }
+
+    /// The sum of every series of counter `name` (unlabeled and any
+    /// label); 0 when there is none.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .filter(|(k, _)| k.name == name)
+            .map(|(_, v)| v)
+            .sum()
+    }
+
     /// The per-interval snapshot between `earlier` and `self`:
     /// histograms and counters subtract bucket-/value-wise, gauges keep
     /// their latest value. Metrics absent from `earlier` pass through
@@ -784,6 +735,12 @@ impl RegistrySnapshot {
                 last_type_line = line;
             }
         };
+        let label_suffix = |key: &MetricKey| {
+            key.label
+                .as_ref()
+                .map(|(lk, lv)| format!("{{{lk}=\"{lv}\"}}"))
+                .unwrap_or_default()
+        };
         for (key, h) in &self.histograms {
             let name = prom_name(key.name);
             type_line(&mut out, &name, "summary");
@@ -794,33 +751,31 @@ impl RegistrySnapshot {
                 }
                 let _ = writeln!(out, "{name}{{{labels}}} {}", h.value_at_quantile(q));
             }
-            let suffix = key
-                .label
-                .as_ref()
-                .map(|(lk, lv)| format!("{{{lk}=\"{lv}\"}}"))
-                .unwrap_or_default();
+            let suffix = label_suffix(key);
             let _ = writeln!(out, "{name}_sum{suffix} {}", h.sum());
             let _ = writeln!(out, "{name}_count{suffix} {}", h.count());
         }
+        // a counter may share its name with a histogram (e.g.
+        // `lanczos.iterations`: a running total and a per-solve
+        // distribution); it is exposed as `<name>_total` so that each
+        // family is declared once
+        let summaries: BTreeSet<String> = self
+            .histograms
+            .iter()
+            .map(|(k, _)| prom_name(k.name))
+            .collect();
         for (key, v) in &self.counters {
-            let name = prom_name(key.name);
+            let mut name = prom_name(key.name);
+            if summaries.contains(&name) {
+                name.push_str("_total");
+            }
             type_line(&mut out, &name, "counter");
-            let suffix = key
-                .label
-                .as_ref()
-                .map(|(lk, lv)| format!("{{{lk}=\"{lv}\"}}"))
-                .unwrap_or_default();
-            let _ = writeln!(out, "{name}{suffix} {v}");
+            let _ = writeln!(out, "{name}{} {v}", label_suffix(key));
         }
         for (key, v) in &self.gauges {
             let name = prom_name(key.name);
             type_line(&mut out, &name, "gauge");
-            let suffix = key
-                .label
-                .as_ref()
-                .map(|(lk, lv)| format!("{{{lk}=\"{lv}\"}}"))
-                .unwrap_or_default();
-            let _ = writeln!(out, "{name}{suffix} {v}");
+            let _ = writeln!(out, "{name}{} {v}", label_suffix(key));
         }
         out
     }
@@ -944,22 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_hands_out_inert_handles() {
-        let r = MetricsRegistry::disabled();
-        let h = r.histogram("x");
-        assert!(!h.is_enabled());
-        h.record(5);
-        r.record_histogram("x", 5);
-        r.counter("c").add(1);
-        r.add_counter("c", 1);
-        r.gauge("g").set(3);
-        let snap = r.snapshot();
-        assert!(snap.histograms.is_empty());
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-    }
-
-    #[test]
     fn registry_snapshot_diff_and_lookup() {
         let r = MetricsRegistry::new();
         let h = r.histogram_labeled("task_nanos", "worker", "0");
@@ -997,6 +936,22 @@ mod tests {
         assert!(text.contains("# TYPE engine_tasks counter"));
         assert!(text.contains("engine_tasks 4"));
         assert!(text.contains("session_users -2"));
+        // a counter named like a histogram gets its own family
+        r.histogram("lanczos.iterations").record(40);
+        r.counter("lanczos.iterations").add(40);
+        let text = r.snapshot().to_prometheus_string();
+        assert!(text.contains("# TYPE lanczos_iterations summary"));
+        assert!(text.contains("# TYPE lanczos_iterations_total counter"));
+        assert!(text.contains("\nlanczos_iterations_total 40\n"));
+        let mut families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        let declared = families.len();
+        families.sort_unstable();
+        families.dedup();
+        assert_eq!(families.len(), declared, "a family declared twice:\n{text}");
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (series, value) = line.rsplit_once(' ').expect("sample has a value");
             assert!(!series.is_empty());

@@ -1,12 +1,12 @@
 //! The in-memory recording sink and its JSON export.
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{MetricsRegistry, RegistrySnapshot};
 use crate::{FieldValue, SpanId, TraceSink};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default capacity of the event ring buffer.
@@ -118,19 +118,19 @@ impl EventRing {
     }
 }
 
-/// An in-memory [`TraceSink`]: atomic counters, full span records, and
-/// a bounded event ring buffer, exportable as JSON.
+/// An in-memory [`TraceSink`]: full span records and a bounded event
+/// ring buffer, exportable as JSON, over a [`MetricsRegistry`] that
+/// holds its counters and histograms.
 ///
-/// Counter increments take a shared read lock plus one atomic add
-/// (the write lock is only taken the first time a counter name
-/// appears), so hot loops pay near-nothing. Span and event recording
-/// take a mutex; the pipeline emits those at stage granularity, not in
-/// inner loops.
+/// Counter increments are the registry's: a shared read lock plus one
+/// atomic add (the write lock is only taken the first time a counter
+/// name appears), so hot loops pay near-nothing. Span and event
+/// recording take a mutex; the pipeline emits those at stage
+/// granularity, not in inner loops.
 #[derive(Debug)]
 pub struct Recorder {
     recorder_id: u64,
     start: Instant,
-    counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
     spans: Mutex<Vec<SpanRecord>>,
     events: Mutex<EventRing>,
     /// Losses indexed by [`DropClass`]: spans, events, histogram
@@ -170,7 +170,6 @@ impl Recorder {
         Recorder {
             recorder_id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             start: Instant::now(),
-            counters: RwLock::new(HashMap::new()),
             spans: Mutex::new(Vec::new()),
             events: Mutex::new(EventRing {
                 buf: Vec::new(),
@@ -183,10 +182,10 @@ impl Recorder {
         }
     }
 
-    /// The live metrics registry this recorder forwards
-    /// [`TraceSink::histogram_record`] calls into. Share the `Arc` with
-    /// an engine cluster to collect per-worker histograms in the same
-    /// place as the pipeline's stage histograms.
+    /// The live metrics registry this recorder's counters and
+    /// [`TraceSink::histogram_record`] calls land in. Share the `Arc`
+    /// with an engine cluster to collect per-worker histograms in the
+    /// same place as the pipeline's stage histograms.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
     }
@@ -197,39 +196,15 @@ impl Recorder {
 
     /// Current value of counter `name` (0 if never incremented).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        self.metrics.counter_value(name)
     }
 
-    /// The shared cell backing counter `name`, creating it on first
-    /// use. The sharded pipeline caches these per thread so counter
-    /// increments stay exact *and* wait-free.
-    pub(crate) fn counter_cell(&self, name: &'static str) -> Arc<AtomicU64> {
-        {
-            let map = self.counters.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(c) = map.get(name) {
-                return Arc::clone(c);
-            }
-        }
-        let mut map = self.counters.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name)
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Snapshot of every counter, sorted by name.
+    /// Snapshot of every unlabeled registry counter — the names
+    /// [`TraceSink::counter_add`] writes — sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        let map = self.counters.read().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<(String, u64)> = map
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.load(Ordering::Relaxed)))
-            .collect();
-        out.sort();
-        out
+        trace_counters(&self.metrics.snapshot())
+            .map(|(name, v)| (name.to_string(), v))
+            .collect()
     }
 
     /// Copies of all span records, in creation order.
@@ -380,8 +355,11 @@ impl Recorder {
         out.push_str("{\n  \"version\": 1,\n");
         let _ = writeln!(out, "  \"duration_ns\": {},", self.now_ns());
 
+        // one registry snapshot feeds both the trace counters and the
+        // nested metrics document, so the two agree exactly
+        let metrics = self.metrics.snapshot();
         out.push_str("  \"counters\": {");
-        let counters = self.counters();
+        let counters: Vec<_> = trace_counters(&metrics).collect();
         for (i, (name, value)) in counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -454,7 +432,7 @@ impl Recorder {
 
         // live metrics: spliced in as a nested object (the snapshot
         // serialiser already emits a complete JSON document)
-        let metrics_json = self.metrics.snapshot().to_json_string();
+        let metrics_json = metrics.to_json_string();
         out.push_str("  \"metrics\": ");
         out.push_str(metrics_json.trim_end());
         out.push_str(",\n");
@@ -536,16 +514,11 @@ impl Recorder {
         out
     }
 
-    /// Prometheus text exposition: the metrics registry snapshot, the
-    /// exact trace counters, and the three
+    /// Prometheus text exposition: the metrics registry snapshot
+    /// (histograms, counters, gauges) and the three
     /// `mec_obs_dropped_records{class=…}` series.
     pub fn to_prometheus_string(&self) -> String {
         let mut out = self.metrics.snapshot().to_prometheus_string();
-        for (name, value) in self.counters() {
-            let n = crate::metrics::prom_name(&name);
-            let _ = writeln!(out, "# TYPE {n} counter");
-            let _ = writeln!(out, "{n} {value}");
-        }
         let d = self.dropped_records();
         out.push_str("# TYPE mec_obs_dropped_records counter\n");
         for (class, value) in [
@@ -557,6 +530,15 @@ impl Recorder {
         }
         out
     }
+}
+
+/// The unlabeled counters of `snap`, in key order: the trace counter
+/// namespace that [`TraceSink::counter_add`] writes.
+fn trace_counters(snap: &RegistrySnapshot) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    snap.counters
+        .iter()
+        .filter(|(k, _)| k.label.is_none())
+        .map(|(k, v)| (k.name, *v))
 }
 
 fn write_json_str(out: &mut String, s: &str) {
@@ -649,17 +631,7 @@ impl TraceSink for Recorder {
     }
 
     fn counter_add(&self, name: &'static str, delta: u64) {
-        {
-            let map = self.counters.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(c) = map.get(name) {
-                c.fetch_add(delta, Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut map = self.counters.write().unwrap_or_else(|e| e.into_inner());
-        map.entry(name)
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .fetch_add(delta, Ordering::Relaxed);
+        self.metrics.add_counter(name, delta);
     }
 
     fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
@@ -679,25 +651,6 @@ impl TraceSink for Recorder {
 mod tests {
     use super::*;
     use crate::span;
-
-    #[test]
-    fn counters_accumulate_across_threads() {
-        let rec = std::sync::Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let rec = std::sync::Arc::clone(&rec);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        rec.counter_add("hits", 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.counter_value("hits"), 4000);
-    }
 
     #[test]
     fn spans_nest_by_thread_order() {

@@ -5,7 +5,7 @@
 //!
 //! | route      | content type                | payload |
 //! |------------|-----------------------------|---------|
-//! | `/metrics` | `text/plain; version=0.0.4` | Prometheus exposition (registry + exact counters + drop classes) |
+//! | `/metrics` | `text/plain; version=0.0.4` | Prometheus exposition (registry + drop classes) |
 //! | `/trace`   | `application/json`          | the schema-v1 JSON trace snapshot |
 //! | `/stacks`  | `text/plain`                | collapsed stacks for `scripts/flamegraph.sh` |
 //! | `/healthz` | `text/plain`                | `ok` |

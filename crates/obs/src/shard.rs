@@ -24,7 +24,7 @@
 //!
 //! Counters deliberately bypass the rings: tests and the reproduction
 //! checks assert *exact* counter values, so [`TraceSink::counter_add`]
-//! lands directly on a per-thread cached `Arc<AtomicU64>` handle —
+//! lands directly on a per-thread cached registry [`CounterHandle`] —
 //! still wait-free and allocation-free after warm-up, and never lossy.
 //! The split is: **counters are exact, spans/events/histogram samples
 //! are bounded-lossy with accounted drops.**
@@ -40,7 +40,7 @@
 //! drop accounting exact and keeps in-flight spans off the shared path
 //! (consequence: a sharded snapshot only shows completed spans).
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{CounterHandle, MetricsRegistry};
 use crate::recorder::{DropClass, DroppedRecords, Recorder, SpanRecord, TraceEvent};
 use crate::{FieldValue, SpanId, TraceSink};
 use std::cell::RefCell;
@@ -358,8 +358,8 @@ struct ThreadWriter {
     stack: Vec<OpenSpan>,
     /// `&'static str` (address, length) → intern id.
     name_ids: HashMap<(usize, usize), u32>,
-    /// `&'static str` (address, length) → exact counter cell.
-    counter_cells: HashMap<(usize, usize), Arc<AtomicU64>>,
+    /// `&'static str` (address, length) → the registry counter.
+    counters: HashMap<(usize, usize), CounterHandle>,
 }
 
 impl ThreadWriter {
@@ -381,7 +381,7 @@ impl ThreadWriter {
             next_seq: 0,
             stack: Vec::new(),
             name_ids: HashMap::new(),
-            counter_cells: HashMap::new(),
+            counters: HashMap::new(),
         }
     }
 
@@ -474,13 +474,13 @@ impl ThreadWriter {
 
     fn counter_add(&mut self, name: &'static str, delta: u64) {
         let key = (name.as_ptr() as usize, name.len());
-        if let Some(cell) = self.counter_cells.get(&key) {
-            cell.fetch_add(delta, Ordering::Relaxed);
+        if let Some(counter) = self.counters.get(&key) {
+            counter.add(delta);
             return;
         }
-        let cell = self.shared.recorder.counter_cell(name);
-        cell.fetch_add(delta, Ordering::Relaxed);
-        self.counter_cells.insert(key, cell);
+        let counter = self.shared.recorder.metrics().counter(name);
+        counter.add(delta);
+        self.counters.insert(key, counter);
     }
 }
 
@@ -627,14 +627,15 @@ impl ShardedRecorder {
         flush_shared(&self.shared);
     }
 
-    /// The live metrics registry the aggregator folds histogram
-    /// samples into (share it with an engine cluster for per-worker
-    /// histograms).
+    /// The live metrics registry that holds the exact counters and that
+    /// the aggregator folds histogram samples into (share it with an
+    /// engine cluster for per-worker histograms).
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         self.shared.recorder.metrics()
     }
 
-    /// Current value of exact counter `name` (flushes first).
+    /// Current value of exact counter `name` (counters bypass the
+    /// rings, so no flush is needed).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.shared.recorder.counter_value(name)
     }
@@ -685,8 +686,8 @@ impl ShardedRecorder {
     }
 
     /// Prometheus text exposition: the metrics registry snapshot plus
-    /// the exact trace counters and the three
-    /// `mec_obs_dropped_records{class=…}` series (flushes first).
+    /// the three `mec_obs_dropped_records{class=…}` series (flushes
+    /// first).
     pub fn to_prometheus_string(&self) -> String {
         self.flush();
         self.shared.recorder.to_prometheus_string()
@@ -777,25 +778,6 @@ mod tests {
         assert_eq!(outer_rec.parent, 0);
         assert_eq!(inner_rec.parent, outer_rec.id);
         assert!(outer_rec.end_ns.is_some());
-    }
-
-    #[test]
-    fn counters_are_exact_and_shared_across_threads() {
-        let rec = Arc::new(ShardedRecorder::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let rec = Arc::clone(&rec);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        rec.counter_add("hits", 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.counter_value("hits"), 4000);
     }
 
     #[test]

@@ -157,34 +157,20 @@ fn warm_partition_rerun_allocates_a_fraction_of_the_cold_run() {
     );
 }
 
-/// The disabled observability hot path — [`NullSink`] histogram
-/// records and handles from a disabled [`MetricsRegistry`] — must stay
-/// strictly allocation-free: these calls sit inside the Lanczos and
-/// stage loops, and a hidden heap touch there would tax every
-/// untraced pipeline run.
+/// The disabled observability hot path — [`NullSink`] counter and
+/// histogram records — must stay strictly allocation-free: these calls
+/// sit inside the Lanczos and stage loops, and a hidden heap touch
+/// there would tax every untraced pipeline run.
 #[test]
-fn disabled_metrics_hot_path_is_allocation_free() {
-    use copmecs::obs::metrics::MetricsRegistry;
+fn null_sink_hot_path_is_allocation_free() {
     use copmecs::obs::TraceSink;
-    use std::time::Duration;
 
     let _guard = measure_lock();
-    let disabled = MetricsRegistry::disabled();
-    let hist = disabled.histogram("stage.compression_nanos");
-    let ctr = disabled.counter("engine.worker_busy_nanos");
-    let gauge = disabled.gauge("engine.live_workers");
     let delta = thread_alloc_delta(|| {
         for i in 0..10_000u64 {
             NullSink.histogram_record("lanczos.iterations", i);
             NullSink.counter_add("lanczos.restarts", 1);
-            hist.record(i);
-            hist.record_duration(Duration::from_nanos(i));
-            ctr.add(i);
-            gauge.set(i as i64);
         }
-        // recording through the disabled registry itself is a no-op too
-        disabled.record_histogram("stage.cutting_nanos", 7);
-        disabled.add_counter("engine.tasks", 1);
     });
     assert_eq!(delta, 0, "disabled metrics path must not touch the heap");
 }
@@ -231,9 +217,10 @@ fn null_sink_solve_is_bit_identical_and_allocation_neutral() {
 /// The *enabled* sharded observability hot path must also stay
 /// allocation-free once warm: spans, events, histogram samples, and
 /// counter increments all land in pre-sized per-thread SPSC rings (or
-/// cached counter cells), so after one warm-up round — which interns
-/// the names, attaches the thread to a shard, and grows the span stack
-/// to its high-water depth — recording never touches the heap. This is
+/// cached registry counter handles), so after one warm-up round — which
+/// interns the names, attaches the thread to a shard, and grows the
+/// span stack to its high-water depth — recording never touches the
+/// heap. This is
 /// the wait-free contract that lets the engine's workers trace without
 /// taxing the pipeline.
 #[test]

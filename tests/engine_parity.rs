@@ -59,7 +59,7 @@ fn block_count_does_not_change_results() {
 #[test]
 fn cluster_metrics_show_real_distribution() {
     let cluster = Arc::new(Cluster::new(4).unwrap());
-    let before = cluster.metrics();
+    let before = cluster.metrics().snapshot();
     let s = scenario(5);
     Offloader::builder()
         .strategy(StrategyKind::SpectralParallel {
@@ -69,10 +69,14 @@ fn cluster_metrics_show_real_distribution() {
         .build()
         .solve(&s)
         .unwrap();
-    let after = cluster.metrics();
+    let d = cluster.metrics().snapshot().since(&before);
+    let stages = d.histogram_total("engine.stage_width");
+    let tasks = d.histogram_total("engine.task_nanos");
     assert!(
-        after.stages > before.stages,
+        stages.count() > 0,
         "the eigensolver must have scheduled stages on the cluster"
     );
-    assert!(after.tasks > before.tasks);
+    // every scheduled task ran on some worker and was counted once
+    assert_eq!(tasks.count(), stages.sum());
+    assert_eq!(d.counter_total("engine.worker_busy_nanos"), tasks.sum());
 }
